@@ -1,34 +1,28 @@
 """Simulator throughput — how fast the trace-driven model itself runs.
 
 Not a paper figure; tracks the cost of the reproduction's hot loop so
-regressions in simulation speed are visible. Three loop implementations
+regressions in simulation speed are visible. Two loop implementations
 exist (``repro.sim.simulator``): the object path over
-``list[Instruction]``, the packed struct-of-arrays path, and the vector
-segment-batch kernel with whole-event memoization
-(``repro.sim.kernel``). The benchmarks time all three;
-``test_record_throughput_snapshot`` writes the measured speedups to
-``output/BENCH_throughput.json`` for the record (schema v6: wall
-seconds, Minstr/s and the selected kernel per path, plus one grid row
-per execution backend — serial / thread / process / remote / auto with
-its resolved pick — so the recorded numbers say how each fan-out
-strategy actually performed on the recording machine; the remote rows
-run self-hosted localhost workers, so they price the socket protocol
-and subprocess spin-up, not real network latency. v5 adds the
+``list[Instruction]`` and the packed struct-of-arrays path. The
+benchmarks time both; ``test_record_throughput_snapshot`` writes the
+measured speedups to ``output/BENCH_throughput.json`` for the record
+(schema v7: wall seconds, Minstr/s and the selected kernel per path,
+plus one grid row per execution backend — serial / thread / process /
+remote / auto with its resolved pick — so the recorded numbers say how
+each fan-out strategy actually performed on the recording machine; the
+remote rows run self-hosted localhost workers, so they price the socket
+protocol and subprocess spin-up, not real network latency. v5 adds the
 ``remote_fetch`` row: the same grid with ``REPRO_STORE=fetch``
 shared-nothing workers on private caches, so the fetch-path overhead —
 chunked artifact transfer + digest re-verification versus a shared
 filesystem — is a recorded number, not a guess. v6 adds the
 ``sampled_fidelity`` row: model-warm ``--fidelity sampled`` throughput
 at scale 2 against a cold full-detail run, with the achieved
-headline-metric error and the reported error bounds).
+headline-metric error and the reported error bounds. v7 drops the
+retired vector kernel's rows).
 
 Timing discipline: every path is measured best-of-N over *fresh*
-simulators. For the vector kernel the first rep records into the segment
-memo and the remaining reps replay from it, so the recorded number is
-the memo-warm replay time — the steady state a parameter sweep or a
-repeated-run campaign actually sees. ``vector_cold_path_s`` (measured
-against a cleared memo each rep) tracks the cold segment pass
-separately.
+simulators sharing one pre-packed trace.
 
 Runtime numbers are machine-dependent — the snapshot embeds the CPU
 count so single-core containers (where process fan-out adds overhead
@@ -42,20 +36,19 @@ from pathlib import Path
 
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner, available_cpus
-from repro.sim.kernel import MEMO
 from repro.sim.simulator import Simulator
 from repro.workloads import EventTrace, get_app
 
 _OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: snapshot layout: 6 adds the ``sampled_fidelity`` row — model-warm
-#: ``--fidelity sampled`` Minstr/s at scale 2 against a cold full-detail
-#: run, with the achieved headline-metric error and the reported bound
-#: (5 added the shared-nothing ``remote_fetch`` grid row; 4 the
-#: remote-backend grid row; 3 the per-execution-backend grid rows; 2
-#: per-path Minstr/s, per-row kernel names, the vector rows and the
-#: auto-jobs grid row)
-SNAPSHOT_SCHEMA_VERSION = 6
+#: snapshot layout: 7 drops the vector kernel's per-path fields (6 added
+#: the ``sampled_fidelity`` row — model-warm ``--fidelity sampled``
+#: Minstr/s at scale 2 against a cold full-detail run, with the achieved
+#: headline-metric error and the reported bound; 5 added the
+#: shared-nothing ``remote_fetch`` grid row; 4 the remote-backend grid
+#: row; 3 the per-execution-backend grid rows; 2 per-path Minstr/s,
+#: per-row kernel names and the auto-jobs grid row)
+SNAPSHOT_SCHEMA_VERSION = 7
 
 
 def _prewarmed_trace(scale: float = 1.0) -> EventTrace:
@@ -84,17 +77,7 @@ def test_baseline_object_path_throughput(benchmark):
     trace = _prewarmed_trace()
 
     def run():
-        return Simulator(trace, presets.nl(), use_packed=False).run()
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.instructions > 0
-
-
-def test_baseline_vector_kernel_throughput(benchmark):
-    trace = _prewarmed_trace()
-
-    def run():
-        return Simulator(trace, presets.nl(), kernel="vector").run()
+        return Simulator(trace, presets.nl(), kernel="object").run()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.instructions > 0
@@ -114,7 +97,7 @@ def test_esp_object_path_throughput(benchmark):
     trace = _prewarmed_trace()
 
     def run():
-        return Simulator(trace, presets.esp_nl(), use_packed=False).run()
+        return Simulator(trace, presets.esp_nl(), kernel="object").run()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.esp.total_pre_instructions > 0
@@ -157,20 +140,18 @@ def _time_path(trace, config, reps: int, **sim_kwargs) -> dict:
         result = sim.run()
         state["kernel"] = sim.kernel_used
         state["instructions"] = result.instructions
-        state["memo_replayed"] = sim.memo_events_replayed
 
     wall_s = _best_of(run, reps)
     return {
         "wall_s": round(wall_s, 4),
         "minstr_per_s": round(state["instructions"] / wall_s / 1e6, 3),
         "kernel": state["kernel"],
-        "memo_replayed_events": state["memo_replayed"],
     }
 
 
 def test_record_throughput_snapshot(tmp_path_factory):
-    """Measure object/packed/vector and serial-vs-parallel speedups and
-    write them to ``output/BENCH_throughput.json`` (schema v5)."""
+    """Measure object/packed and serial-vs-parallel speedups and write
+    them to ``output/BENCH_throughput.json`` (schema v7)."""
     trace = _prewarmed_trace()
     snapshot: dict = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
@@ -182,31 +163,17 @@ def test_record_throughput_snapshot(tmp_path_factory):
     for name, reps in (("baseline", 5), ("nl", 5), ("esp_nl", 3)):
         config = presets.by_name(name)
         paths = {
-            "object": _time_path(trace, config, reps, use_packed=False),
+            "object": _time_path(trace, config, reps, kernel="object"),
             "packed": _time_path(trace, config, reps, kernel="packed"),
-            "vector": _time_path(trace, config, reps, kernel="vector"),
         }
-
-        def cold_vector():
-            MEMO.clear()
-            Simulator(trace, config, kernel="vector").run()
-
-        t_cold = _best_of(cold_vector, max(2, reps - 2))
         row = {
             "object_path_s": paths["object"]["wall_s"],
             "packed_path_s": paths["packed"]["wall_s"],
-            "vector_path_s": paths["vector"]["wall_s"],
-            "vector_cold_path_s": round(t_cold, 4),
             "object_minstr_per_s": paths["object"]["minstr_per_s"],
             "packed_minstr_per_s": paths["packed"]["minstr_per_s"],
-            "vector_minstr_per_s": paths["vector"]["minstr_per_s"],
-            "vector_kernel": paths["vector"]["kernel"],
+            "packed_kernel": paths["packed"]["kernel"],
             "speedup": round(paths["object"]["wall_s"]
                              / paths["packed"]["wall_s"], 3),
-            "vector_speedup_vs_object": round(
-                paths["object"]["wall_s"] / paths["vector"]["wall_s"], 3),
-            "vector_speedup_vs_packed": round(
-                paths["packed"]["wall_s"] / paths["vector"]["wall_s"], 3),
         }
         snapshot["single_thread"][name] = row
 
@@ -282,7 +249,6 @@ def test_record_throughput_snapshot(tmp_path_factory):
     config = presets.baseline()
 
     def cold_full():
-        MEMO.clear()
         state["result"] = Simulator(strace, config,
                                     kernel="packed").run()
 
@@ -324,7 +290,6 @@ def test_record_throughput_snapshot(tmp_path_factory):
     print(json.dumps(snapshot, indent=2))
     for entry in snapshot["single_thread"].values():
         assert entry["speedup"] > 0
-        assert entry["vector_speedup_vs_object"] > 0
     for name, row in backends.items():
         assert row["wall_s"] > 0
         assert row["resolved"] in ("serial", "thread", "process",

@@ -132,11 +132,6 @@ MAX_FORWARDED_RECORDS = 10_000
 #: (each retry rides the capped full-jitter backoff)
 FETCH_ATTEMPTS = 3
 
-#: environment knobs forwarded inside task frames — and folded into the
-#: worker-side runner memo key — so a parked worker serving campaigns
-#: with different settings never reuses a stale runner clone
-TASK_ENV_KEYS = ("REPRO_KERNEL", "REPRO_FIDELITY")
-
 _HEADER = struct.Struct(">I")
 
 
@@ -477,10 +472,6 @@ class _Coordinator:
             # from this frame, and sampled/full results must never collide
             "fidelity": runner.fidelity,
         }
-        env = {name: os.environ[name] for name in TASK_ENV_KEYS
-               if os.environ.get(name)}
-        if env:
-            message["env"] = env
         if self.store_mode == "fetch":
             artifacts = {}
             digest = self._trace_digest(app)
@@ -1462,19 +1453,15 @@ class _Worker:
         (test-thread) worker must never ``os._exit`` its host.
 
         The memo key carries everything that shapes a run: the cache
-        location, campaign shape, *and* the forwarded env overrides
-        (``REPRO_KERNEL`` et al.), so a parked worker serving two
-        campaigns with different settings never reuses a stale clone.
+        location, campaign shape *and* fidelity, so a parked worker
+        serving two campaigns with different settings never reuses a
+        stale clone.
         """
         from repro.sim.experiments import ExperimentRunner
-        from repro.sim.kernel import KERNEL_NAMES
         from repro.sim.sampling import FIDELITY_NAMES
 
         shared = task.get("store", "shared") == "shared" \
             and not self.no_shared_fs
-        env = task.get("env") or {}
-        env_items = tuple(sorted((str(k), str(v))
-                                 for k, v in env.items()))
         if shared:
             cache_dir = task["cache_dir"]
             log_dir = task.get("log_dir")
@@ -1489,13 +1476,12 @@ class _Worker:
                 str(task.get("cache_dir", "")).encode()).hexdigest()[:12]
             cache_dir = str(self._private_cache_dir() / campaign)
             log_dir = None
-        fidelity = task.get("fidelity") or env.get("REPRO_FIDELITY")
+        fidelity = task.get("fidelity")
         if fidelity not in FIDELITY_NAMES:
             fidelity = "full"  # degrade, never crash a parked worker
         spec = (cache_dir, float(task["scale"]), int(task["seed"]),
                 bool(task["use_disk_cache"]), log_dir,
-                int(task.get("checkpoint_events", 0)), shared,
-                env_items, fidelity)
+                int(task.get("checkpoint_events", 0)), shared, fidelity)
         runner = self._runners.get(spec)
         if runner is None:
             runner = ExperimentRunner(
@@ -1507,8 +1493,6 @@ class _Worker:
                 fidelity=fidelity)
             runner.backend_label = "remote"
             runner.is_worker = not self.in_process
-            kernel = env.get("REPRO_KERNEL")
-            runner.kernel = kernel if kernel in KERNEL_NAMES else None
             self._runners[spec] = runner
         return runner
 

@@ -14,9 +14,8 @@ Record kinds (``kind`` field):
   scale, seed, worker pid, cache disposition (``memory`` / ``disk`` /
   ``simulated``), the execution backend context that served it
   (``serial`` parent / ``thread`` clone / ``process`` worker), the
-  hot-loop kernel used plus its memo replay/record event counts
-  (``simulated`` runs only), and the trace-load / simulate / store
-  timings in seconds.
+  hot-loop kernel used (``object`` / ``packed``; ``simulated`` runs
+  only), and the trace-load / simulate / store timings in seconds.
 * ``retry`` — one task handed back for serial completion, with the reason
   (``worker-died`` / ``timeout`` / ``memory`` / ``error`` — a failed
   attempt that will be re-tried — or ``requeued``, a healthy task that

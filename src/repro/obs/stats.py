@@ -31,7 +31,6 @@ def _fresh_app_bucket() -> dict:
             "requeued": 0, "corruptions": 0, "failures": 0,
             "checkpoints": 0, "resumes": 0,
             "kernels": {}, "backends": {},
-            "memo_replayed": 0, "memo_recorded": 0,
             "sampled_runs": 0, "sampled_events": 0, "detailed_events": 0,
             "trace_load_s": 0.0, "simulate_s": 0.0, "store_s": 0.0}
 
@@ -99,10 +98,6 @@ def summarize(records) -> dict:
                 if backend:
                     backends = bucket["backends"]
                     backends[backend] = backends.get(backend, 0) + 1
-                for field in ("memo_replayed", "memo_recorded"):
-                    value = record.get(field)
-                    if isinstance(value, int):
-                        bucket[field] += value
             # sampled-fidelity accounting covers hits too: a sampled
             # cache hit still served sampled numbers to its consumer
             if record.get("fidelity") == "sampled":
@@ -176,11 +171,6 @@ def summarize(records) -> dict:
         bucket["throughput_per_s"] = n_sim / sim_s if sim_s > 0 else 0.0
         bucket["hit_rate"] = (bucket["cache_hits"] / bucket["runs"]
                               if bucket["runs"] else 0.0)
-        # share of the memo-touched events that replayed instead of
-        # simulating (recorded events are the misses of the warm path)
-        memo_events = bucket["memo_replayed"] + bucket["memo_recorded"]
-        bucket["memo_hit_rate"] = (bucket["memo_replayed"] / memo_events
-                                   if memo_events else 0.0)
     kernels_total: dict[str, int] = {}
     backends_total: dict[str, int] = {}
     for bucket in apps.values():
@@ -188,9 +178,6 @@ def summarize(records) -> dict:
             kernels_total[kernel] = kernels_total.get(kernel, 0) + count
         for backend, count in bucket["backends"].items():
             backends_total[backend] = backends_total.get(backend, 0) + count
-    memo_replayed = sum(b["memo_replayed"] for b in apps.values())
-    memo_recorded = sum(b["memo_recorded"] for b in apps.values())
-    memo_events = memo_replayed + memo_recorded
     return {
         "runs": runs,
         "simulated": simulated,
@@ -222,10 +209,6 @@ def summarize(records) -> dict:
         "detailed_events": sum(b["detailed_events"]
                                for b in apps.values()),
         "max_error_bound": max_error_bound,
-        "memo_replayed": memo_replayed,
-        "memo_recorded": memo_recorded,
-        "memo_hit_rate": memo_replayed / memo_events if memo_events
-        else 0.0,
         "simulate_s": sum(b["simulate_s"] for b in apps.values()),
         "apps": {app: apps[app] for app in sorted(apps)},
     }
@@ -252,7 +235,7 @@ def format_table(summary: dict) -> str:
         return "no run records found"
     lines = [
         f"{'app':<12} {'runs':>6} {'sim':>6} {'hits':>6} {'hit%':>6} "
-        f"{'memo%':>6} {'sim s':>9} {'mean s':>8} {'sims/s':>8} "
+        f"{'sim s':>9} {'mean s':>8} {'sims/s':>8} "
         f"{'backend':>7} "
         f"{'retry':>5} {'corr':>4} {'fail':>4} {'ckpt':>5} {'res':>4}"
     ]
@@ -260,7 +243,6 @@ def format_table(summary: dict) -> str:
         lines.append(
             f"{app:<12} {b['runs']:>6} {b['simulated']:>6} "
             f"{b['cache_hits']:>6} {100 * b['hit_rate']:>5.1f}% "
-            f"{100 * b.get('memo_hit_rate', 0.0):>5.1f}% "
             f"{b['simulate_s']:>9.3f} {b['mean_simulate_s']:>8.3f} "
             f"{b['throughput_per_s']:>8.2f} "
             f"{_backend_cell(b.get('backends', {})):>7} "
@@ -271,7 +253,6 @@ def format_table(summary: dict) -> str:
         f"{'total':<12} {summary['runs']:>6} {summary['simulated']:>6} "
         f"{summary['cache_hits']:>6} "
         f"{100 * summary['cache_hit_rate']:>5.1f}% "
-        f"{100 * summary.get('memo_hit_rate', 0.0):>5.1f}% "
         f"{summary['simulate_s']:>9.3f} {'':>8} {'':>8} "
         f"{_backend_cell(summary.get('backends', {})):>7} "
         f"{summary['retries']:>5} {summary.get('corruptions', 0):>4} "
@@ -281,12 +262,7 @@ def format_table(summary: dict) -> str:
     if summary.get("kernels"):
         detail = ", ".join(f"{kernel}: {count}" for kernel, count
                            in summary["kernels"].items())
-        memo = ""
-        if summary.get("memo_replayed") or summary.get("memo_recorded"):
-            memo = (f" — memo events replayed: "
-                    f"{summary.get('memo_replayed', 0)}, recorded: "
-                    f"{summary.get('memo_recorded', 0)}")
-        lines.append(f"kernels — {detail}{memo}")
+        lines.append(f"kernels — {detail}")
     if summary.get("backends") or summary.get("backend_choices"):
         parts = ", ".join(f"{backend}: {count}" for backend, count
                           in summary.get("backends", {}).items())

@@ -500,11 +500,6 @@ class ExperimentRunner:
         #: never run on the parent's inline path
         self.is_worker = False
         self.worker_attempt = 1
-        #: explicit kernel override (wins over ``REPRO_KERNEL``) — set by
-        #: remote workers from the task frame's forwarded env, so a
-        #: parked worker honours the campaign's kernel without mutating
-        #: its own process environment
-        self.kernel: str | None = None
         #: artifact-plane handle (:class:`repro.exec.remote
         #: ._ArtifactClient`) a shared-nothing worker installs per task:
         #: :meth:`trace` resolves disk misses through it before
@@ -518,7 +513,7 @@ class ExperimentRunner:
         self._memory: dict[str, SimResult] = {}
         self._traces: dict[str, EventTrace | LoadedTrace] = {}
         self._timings = (0.0, 0.0)
-        self._last_kernel = ("", 0, 0)
+        self._last_kernel = ""
         if self.use_disk_cache:
             self._check_disk_space()
             self._sweep_stale_tmp()
@@ -760,8 +755,6 @@ class ExperimentRunner:
         """Append one ``run`` record (no-op when logging is disabled)."""
         if not self._runlog.enabled:
             return
-        kernel, memo_replayed, memo_recorded = \
-            self._last_kernel if cache == "simulated" else ("", 0, 0)
         record = {
             "kind": "run", "ts": round(time.time(), 3), "key": key,
             "app": app, "config": config.name,
@@ -770,8 +763,7 @@ class ExperimentRunner:
             "backend": self.backend_label,
             "fidelity": result.fidelity if result is not None
             else self.fidelity,
-            "kernel": kernel, "memo_replayed": memo_replayed,
-            "memo_recorded": memo_recorded,
+            "kernel": self._last_kernel if cache == "simulated" else "",
             "trace_load_s": round(trace_load_s, 6),
             "simulate_s": round(simulate_s, 6),
             "store_s": round(store_s, 6)}
@@ -824,8 +816,7 @@ class ExperimentRunner:
         t0 = time.perf_counter()
         trace = self.trace(app)
         t1 = time.perf_counter()
-        sim = Simulator(trace, config, kernel=self.kernel,
-                        fidelity=self.fidelity)
+        sim = Simulator(trace, config, fidelity=self.fidelity)
         store = self._arm_checkpoints(sim, checkpoint_key, app)
         result = sim.run(**run_kwargs)
         if store is not None:
@@ -835,9 +826,7 @@ class ExperimentRunner:
         # name the result after the preset for readable reports
         result.config = config.name
         self._timings = (t1 - t0, time.perf_counter() - t1)
-        self._last_kernel = (sim.kernel_used or "",
-                             sim.memo_events_replayed,
-                             sim.memo_events_recorded)
+        self._last_kernel = sim.kernel_used or ""
         return result
 
     # -- mid-simulation resilience ---------------------------------------------

@@ -18,11 +18,10 @@ behaviour instead of fossilising.
 
 Because one (trace, config) pair is fully deterministic, a class model
 additionally memoizes the *exact* counter delta of every event it has
-run in detail, keyed by event index — the same replay discipline as the
-vector kernel's segment memo. A sampled re-run of a trace whose events
-were all observed before replays those recorded deltas verbatim, which
-reproduces the full-detail totals exactly (the deltas sum to the same
-values in the same order); only events the store has never seen in
+run in detail, keyed by event index. A sampled re-run of a trace whose
+events were all observed before replays those recorded deltas verbatim,
+which reproduces the full-detail totals exactly (the deltas sum to the
+same values in the same order); only events the store has never seen in
 detail fall back to the statistical class-mean model.
 
 Results produced this way are tagged (``SimResult.fidelity ==
@@ -39,10 +38,10 @@ can differ when it is interleaved with extrapolated neighbours — a
 second-order effect the bounds deliberately ignore, see DESIGN §14).
 
 Learned class models persist across :class:`~repro.sim.simulator
-.Simulator` instances in a process-wide store (the same discipline as
-the vector kernel's segment memo): the first run of a (trace, config)
-pair pays for detailed learning, later runs extrapolate from the first
-event on. ``clear_model_store()`` empties it (tests, benchmarks).
+.Simulator` instances in a process-wide store: the first run of a
+(trace, config) pair pays for detailed learning, later runs extrapolate
+from the first event on. ``clear_model_store()`` empties it (tests,
+benchmarks).
 
 Full fidelity remains the default and is bit-identical to a build
 without this module; nothing here runs unless ``--fidelity sampled`` /

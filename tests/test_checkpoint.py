@@ -34,11 +34,11 @@ CONFIGS = [
 ]
 
 
-def _collect_checkpoints(app, config, use_packed, every=3):
+def _collect_checkpoints(app, config, kernel, every=3):
     """Run once with a checkpoint sink; return (clean result dict,
     captured checkpoint payloads)."""
     states = []
-    sim = Simulator(app, config, use_packed=use_packed)
+    sim = Simulator(app, config, kernel=kernel)
     sim.checkpoint_every = every
     sim.checkpoint_sink = states.append
     clean = sim.run().to_dict()
@@ -46,25 +46,35 @@ def _collect_checkpoints(app, config, use_packed, every=3):
 
 
 class TestCheckpointDeterminism:
-    @pytest.mark.parametrize("use_packed", [None, False],
-                             ids=["packed", "object"])
+    @pytest.mark.parametrize("kernel", ["packed", "object"])
     @pytest.mark.parametrize("name,make_config", CONFIGS)
     def test_resume_is_bit_identical(self, tiny_app, name, make_config,
-                                     use_packed):
+                                     kernel):
         """Restore from every captured generation; each resumed run must
         equal the uninterrupted run bit for bit."""
         config = make_config()
-        clean, states = _collect_checkpoints(tiny_app, config, use_packed)
+        clean, states = _collect_checkpoints(tiny_app, config, kernel)
         assert len(states) >= 3, "cadence produced too few checkpoints"
         for state in states:
             # the on-disk envelope serialises the payload; prove the
             # payload survives that round trip exactly
             state = json.loads(json.dumps(state))
-            fresh = Simulator(tiny_app, make_config(),
-                              use_packed=use_packed)
+            fresh = Simulator(tiny_app, make_config(), kernel=kernel)
             fresh.restore(state)
             assert fresh.run().to_dict() == clean, \
                 f"resume from event {state['loop']['position']} diverged"
+
+    def test_resume_on_the_other_kernel(self, tiny_app):
+        """A checkpoint taken on one hot loop resumes bit-identically on
+        the other: the payload holds model state, not loop state."""
+        config = presets.by_name("nl")
+        clean, states = _collect_checkpoints(tiny_app, config, "packed")
+        _, object_states = _collect_checkpoints(tiny_app, config, "object")
+        assert states == object_states
+        for state, kernel in zip(states, ("object", "packed") * len(states)):
+            fresh = Simulator(tiny_app, config, kernel=kernel)
+            fresh.restore(json.loads(json.dumps(state)))
+            assert fresh.run().to_dict() == clean
 
     def test_checkpointing_does_not_perturb_the_run(self, tiny_app):
         """A run with an active sink equals a run without one."""

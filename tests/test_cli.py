@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -115,3 +120,18 @@ class TestStats:
         assert main(["stats"]) == 0
         out = capsys.readouterr().out
         assert "bing" in out
+
+
+class TestImportGraph:
+    def test_cli_import_does_not_load_numpy(self):
+        """The simulator is pure Python: importing the harness and the
+        CLI in a fresh interpreter must not pull numpy in, even where
+        numpy is installed (it costs import time and resident memory on
+        every run)."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, repro.sim.experiments, repro.cli; "
+                "print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -348,6 +348,34 @@ class TestStatsAggregation:
         # full-fidelity logs stay free of the line
         assert "sampling" not in format_table(summarize(self.RECORDS))
 
+    def test_logs_from_the_vector_kernel_era_still_aggregate(self):
+        """Run logs written while a third, memoizing ``vector`` kernel
+        existed carry its name and two memo counters; they still sum
+        into the totals and the kernels histogram."""
+        old = [
+            _run_record("bing", "simulated", simulate_s=1.0,
+                        kernel="vector", memo_replayed=120,
+                        memo_recorded=0),
+            _run_record("bing", "simulated", simulate_s=3.0,
+                        kernel="vector", memo_replayed=0,
+                        memo_recorded=120),
+            _run_record("pixlr", "simulated", simulate_s=2.0,
+                        kernel="packed", memo_replayed=0,
+                        memo_recorded=0),
+            _run_record("pixlr", "disk", kernel="", memo_replayed=0,
+                        memo_recorded=0),
+        ]
+        summary = summarize(old)
+        assert summary["runs"] == 4
+        assert summary["simulated"] == 3
+        assert summary["simulate_s"] == pytest.approx(6.0)
+        assert summary["kernels"] == {"packed": 1, "vector": 2}
+        assert summary["apps"]["bing"]["kernels"] == {"vector": 2}
+        assert "memo_replayed" not in summary
+        table = format_table(summary)
+        assert "kernels — packed: 1, vector: 2" in table
+        assert "memo" not in table
+
 
 class TestWorkerRetryPath:
     def test_poisoned_worker_fails_once_then_batch_completes(

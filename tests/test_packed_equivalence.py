@@ -1,13 +1,13 @@
-"""Hot-loop implementations vs object compatibility path: bit-identical.
+"""Hot-loop implementations vs the object reference: bit-identical.
 
-The simulator's hot loop has three implementations (see
-``repro.sim.simulator``): the object path walking ``list[Instruction]``,
-the packed path walking :class:`~repro.isa.stream.PackedStream`
-struct-of-arrays, and the vector path batching pre-lowered segments with
-whole-event memoization (``repro.sim.kernel``). These tests pin the
-contract that all of them are *bit-identical* — same cycles
-(floating-point accumulation order included), same counters, same ESP
-statistics — for every preset, on cold and memo-warm runs alike.
+The simulator's hot loop has two implementations (see
+``repro.sim.simulator``): the object path walking ``list[Instruction]``
+(the readable reference model) and the packed path walking
+:class:`~repro.isa.stream.PackedStream` struct-of-arrays (the one fast
+path). These tests pin the contract that they are *bit-identical* — same
+cycles (floating-point accumulation order included), same counters, same
+ESP statistics — for every preset, on a first run and on a repeated run
+over the same (already packed) trace, and pin how ``kernel=`` resolves.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.stream import PackedStream
 from repro.sim import presets
+from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulator
 from repro.workloads import get_app
 from repro.workloads.generator import EventTrace
@@ -90,7 +91,7 @@ class TestEventPacking:
 
 
 def _run_pair(trace_factory, config):
-    obj = Simulator(trace_factory(), config, use_packed=False).run()
+    obj = Simulator(trace_factory(), config, kernel="object").run()
     packed = Simulator(trace_factory(), config, kernel="packed").run()
     return obj, packed
 
@@ -119,15 +120,15 @@ class TestBitIdentity:
         # live object stream, so forcing packed must change nothing
         a = Simulator(tiny_trace, presets.runahead_nl()).run()
         b = Simulator(tiny_trace, presets.runahead_nl(),
-                      use_packed=True).run()
+                      kernel="packed").run()
         assert a.to_dict() == b.to_dict()
 
     def test_working_sets_and_event_profiles_match(self, tiny_app):
         config = presets.by_name("esp_nl")
         results = []
-        for use_packed in (False, None):
+        for kernel in ("object", None):
             sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=0),
-                            config, use_packed=use_packed)
+                            config, kernel=kernel)
             sim.collect_working_sets = True
             sim.collect_event_profile = True
             sim.run()
@@ -139,52 +140,53 @@ class TestBitIdentity:
 
 
 class TestVectorBitIdentity:
-    """The vector kernel (cold segment pass AND memo-warm replay) against
-    the object reference. ``kernel="vector"`` falls back to the packed
-    loop on ineligible configurations (ESP, runahead, table prefetchers),
-    so every preset must still come out bit-identical."""
+    """Callers that used to request the retired vector kernel. The name
+    is now rejected, and the default kernel they get instead is
+    bit-identical to the object reference — on a first run and on a
+    repeated run over the same trace, the case the vector kernel's memo
+    used to serve."""
 
     @pytest.mark.parametrize("preset", presets.preset_names())
     def test_every_preset_tiny_app(self, preset, tiny_app):
         config = presets.by_name(preset)
+        with pytest.raises(ValueError, match="vector"):
+            Simulator(EventTrace(tiny_app, scale=1.0, seed=3), config,
+                      kernel="vector")
         obj = Simulator(EventTrace(tiny_app, scale=1.0, seed=3),
-                        config, use_packed=False).run()
-        cold_sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=3),
-                             config, kernel="vector")
-        assert obj.to_dict() == cold_sim.run().to_dict()
-        # second fresh simulator: the eligible presets now replay from
-        # the memo and must still be bit-identical
-        warm_sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=3),
-                             config, kernel="vector")
-        assert obj.to_dict() == warm_sim.run().to_dict()
-        if cold_sim.kernel_used == "vector":
-            assert warm_sim.memo_events_replayed > 0
+                        config, kernel="object").run()
+        trace = EventTrace(tiny_app, scale=1.0, seed=3)
+        for _ in range(2):  # first run, then a repeat on the packed trace
+            sim = Simulator(trace, config)
+            assert obj.to_dict() == sim.run().to_dict()
+            assert sim.kernel_used == (
+                "object" if sim.runahead is not None else "packed")
 
     @pytest.mark.parametrize("preset",
                              ["baseline", "nl", "esp_nl", "runahead_nl"])
     def test_headline_presets_real_app(self, preset):
         config = presets.by_name(preset)
         obj = Simulator(EventTrace(get_app("pixlr"), scale=0.25, seed=0),
-                        config, use_packed=False).run()
-        for _ in range(2):  # cold, then memo-warm
-            vec = Simulator(EventTrace(get_app("pixlr"), scale=0.25,
-                                       seed=0), config,
-                            kernel="vector").run()
-            assert obj.to_dict() == vec.to_dict()
+                        config, kernel="object").run()
+        trace = EventTrace(get_app("pixlr"), scale=0.25, seed=0)
+        for _ in range(2):
+            assert obj.to_dict() == Simulator(trace, config).run().to_dict()
 
     def test_ineligible_configs_fall_back(self, tiny_trace):
-        sim = Simulator(tiny_trace, presets.by_name("esp_nl"),
-                        kernel="vector")
-        sim.run()
-        assert sim.kernel_used == "packed"
+        """Runahead cannot run on the packed loop: it falls back to the
+        object path whatever kernel is requested."""
+        for kernel in (None, "packed", "object"):
+            sim = Simulator(tiny_trace, presets.by_name("runahead_nl"),
+                            kernel=kernel)
+            sim.run()
+            assert sim.kernel_used == "object"
 
     def test_working_sets_and_event_profiles_match(self, tiny_app):
         config = presets.by_name("nl")
         results = []
-        # object reference, cold vector, memo-warm vector
-        for kernel in ("object", "vector", "vector"):
-            sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=0),
-                            config, kernel=kernel)
+        trace = EventTrace(tiny_app, scale=1.0, seed=0)
+        # object reference, then the default kernel twice on one trace
+        for kernel in ("object", None, None):
+            sim = Simulator(trace, config, kernel=kernel)
             sim.collect_working_sets = True
             sim.collect_event_profile = True
             sim.run()
@@ -193,3 +195,29 @@ class TestVectorBitIdentity:
                             [(p.event_index, p.instructions, p.cycles,
                               p.hinted) for p in sim.event_profiles]))
         assert results[0] == results[1] == results[2]
+
+
+class TestKernelSelection:
+    def test_unknown_kernel_rejected(self, tiny_trace):
+        for name in ("vector", "turbo"):
+            with pytest.raises(ValueError) as err:
+                Simulator(tiny_trace, SimConfig(), kernel=name)
+            assert "object" in str(err.value)
+            assert "packed" in str(err.value)
+
+    def test_default_is_packed(self, tiny_trace):
+        for preset in ("baseline", "nl", "esp_nl", "pif"):
+            sim = Simulator(tiny_trace, presets.by_name(preset))
+            sim.run()
+            assert sim.kernel_used == "packed"
+
+    def test_kernel_packed_means_packed(self, tiny_trace):
+        sim = Simulator(tiny_trace, presets.by_name("nl"), kernel="packed")
+        sim.run()
+        assert sim.kernel_used == "packed"
+
+    def test_kernel_object_means_object(self, tiny_trace):
+        sim = Simulator(tiny_trace, presets.by_name("nl"), kernel="object")
+        sim.run()
+        assert sim.kernel_used == "object"
+

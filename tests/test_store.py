@@ -16,10 +16,9 @@ The contract pinned here:
   the ``corrupt_chunk`` / ``truncated_fetch`` faults firing, every
   damaged transfer ends in a counted retry or a quarantine, never a
   committed result;
-* the worker-side runner memo key includes the forwarded env overrides
-  (a parked worker serving two campaigns with different ``REPRO_KERNEL``
-  gets two runner clones), and garbage frames count
-  ``remote.protocol_errors`` instead of folding into disconnects.
+* a shared-nothing worker ignores the coordinator's paths, and garbage
+  frames count ``remote.protocol_errors`` instead of folding into
+  disconnects.
 """
 
 import json
@@ -491,32 +490,22 @@ class TestSharedNothingFleet:
 # -- satellites ----------------------------------------------------------------
 
 class TestRunnerMemoKey:
-    def test_env_overrides_split_the_memo(self, tmp_path):
-        """A parked worker serving two campaigns whose task frames carry
-        different ``REPRO_KERNEL`` overrides must not reuse one runner
-        clone — the env is part of the memo key and lands on the
-        runner's explicit kernel override."""
+    def test_fidelity_splits_the_memo(self, tmp_path):
+        """A parked worker serving a full and a sampled campaign keeps
+        one runner clone per fidelity; the frame's explicit field is
+        all it reads."""
         worker = _Worker("127.0.0.1:1", in_process=True)
         base = {"cache_dir": str(tmp_path), "scale": 0.1, "seed": 0,
                 "use_disk_cache": True, "checkpoint_events": 0,
                 "store": "shared"}
-        packed = worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "packed"}))
-        vector = worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "vector"}))
-        plain = worker._runner_for(dict(base))
-        assert packed is not vector
-        assert plain is not packed
-        assert packed.kernel == "packed"
-        assert vector.kernel == "vector"
-        assert plain.kernel is None
-        # same spec -> same clone (the memo still memoizes)
+        full = worker._runner_for(dict(base, fidelity="full"))
+        sampled = worker._runner_for(dict(base, fidelity="sampled"))
+        assert full is not sampled
+        assert (full.fidelity, sampled.fidelity) == ("full", "sampled")
+        assert worker._runner_for(dict(base, fidelity="full")) is full
+        # a garbage value degrades to full detail, never crashes
         assert worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "packed"})) is packed
-        # a garbage override is dropped, not passed to the simulator
-        junk = worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "warp-drive"}))
-        assert junk.kernel is None
+            dict(base, fidelity="warp-drive")).fidelity == "full"
 
     def test_no_shared_fs_ignores_coordinator_paths(self, tmp_path):
         worker = _Worker("127.0.0.1:1", in_process=True,
