@@ -6,9 +6,9 @@ exist (``repro.sim.simulator``): the object path over
 ``list[Instruction]`` and the packed struct-of-arrays path. The
 benchmarks time both; ``test_record_throughput_snapshot`` writes the
 measured speedups to ``output/BENCH_throughput.json`` for the record
-(schema v7: wall seconds, Minstr/s and the selected kernel per path,
-plus one grid row per execution backend — serial / thread / process /
-remote / auto with its resolved pick — so the recorded numbers say how
+(schema v8: wall seconds, Minstr/s and the selected kernel per path,
+plus one grid row per execution backend — serial / process / remote /
+auto with its resolved pick — so the recorded numbers say how
 each fan-out strategy actually performed on the recording machine; the
 remote rows run self-hosted localhost workers, so they price the socket
 protocol and subprocess spin-up, not real network latency. v5 adds the
@@ -19,7 +19,9 @@ filesystem — is a recorded number, not a guess. v6 adds the
 ``sampled_fidelity`` row: model-warm ``--fidelity sampled`` throughput
 at scale 2 against a cold full-detail run, with the achieved
 headline-metric error and the reported error bounds. v7 drops the
-retired vector kernel's rows).
+retired vector kernel's rows; v8 drops the deleted thread backend's row
+and the ``jobs_auto`` grid row, whose decision the ``auto`` backend row
+covers).
 
 Timing discipline: every path is measured best-of-N over *fresh*
 simulators sharing one pre-packed trace.
@@ -41,14 +43,15 @@ from repro.workloads import EventTrace, get_app
 
 _OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: snapshot layout: 7 drops the vector kernel's per-path fields (6 added
+#: snapshot layout: 8 drops the thread backend row and the ``jobs_auto``
+#: grid fields; 7 dropped the vector kernel's per-path fields (6 added
 #: the ``sampled_fidelity`` row — model-warm ``--fidelity sampled``
 #: Minstr/s at scale 2 against a cold full-detail run, with the achieved
 #: headline-metric error and the reported bound; 5 added the
 #: shared-nothing ``remote_fetch`` grid row; 4 the remote-backend grid
 #: row; 3 the per-execution-backend grid rows; 2 per-path Minstr/s,
 #: per-row kernel names and the auto-jobs grid row)
-SNAPSHOT_SCHEMA_VERSION = 7
+SNAPSHOT_SCHEMA_VERSION = 8
 
 
 def _prewarmed_trace(scale: float = 1.0) -> EventTrace:
@@ -180,30 +183,27 @@ def test_record_throughput_snapshot(tmp_path_factory):
     grid_apps = ["bing", "pixlr"]
     grid_configs = [presets.baseline(), presets.esp_nl()]
     timings = {}
-    jobs_of = {"serial": 1, "jobs2": 2, "jobs_auto": "auto"}
+    jobs_of = {"serial": 1, "jobs2": 2}
     for label, jobs in jobs_of.items():
         cache = tmp_path_factory.mktemp(f"snapshot-{label}")
         runner = ExperimentRunner(cache_dir=cache, scale=0.25, seed=0,
                                   jobs=jobs)
         start = time.perf_counter()
         runner.grid(grid_configs, apps=grid_apps)
-        timings[label] = (time.perf_counter() - start, runner.jobs)
+        timings[label] = time.perf_counter() - start
     snapshot["grid_2x2_scale0.25"] = {
-        "serial_s": round(timings["serial"][0], 4),
-        "jobs2_s": round(timings["jobs2"][0], 4),
-        "jobs_auto_s": round(timings["jobs_auto"][0], 4),
-        "jobs_auto_resolved": timings["jobs_auto"][1],
-        "parallel_speedup": round(timings["serial"][0]
-                                  / timings["jobs2"][0], 3),
-        "note": "fan-out only helps with >=2 free cores; jobs='auto' "
-                "sizes the pool to the usable CPUs and stays serial on "
-                "single-core containers",
+        "serial_s": round(timings["serial"], 4),
+        "jobs2_s": round(timings["jobs2"], 4),
+        "parallel_speedup": round(timings["serial"] / timings["jobs2"], 3),
+        "note": "fan-out only helps with >=2 free cores; the auto "
+                "backend picks process on >1 usable CPU and stays "
+                "serial on single-core containers",
     }
 
     # one row per execution backend, same 2x2 grid: the honest per-
     # strategy cost on this machine, with what `auto` resolved to
     backends = {}
-    for name in ("serial", "thread", "process", "remote", "auto"):
+    for name in ("serial", "process", "remote", "auto"):
         cache = tmp_path_factory.mktemp(f"snapshot-backend-{name}")
         runner = ExperimentRunner(cache_dir=cache, scale=0.25, seed=0,
                                   jobs=2, backend=name)
@@ -292,8 +292,7 @@ def test_record_throughput_snapshot(tmp_path_factory):
         assert entry["speedup"] > 0
     for name, row in backends.items():
         assert row["wall_s"] > 0
-        assert row["resolved"] in ("serial", "thread", "process",
-                                   "remote"), row
+        assert row["resolved"] in ("serial", "process", "remote"), row
     row = snapshot["sampled_fidelity"]
     assert row["speedup_vs_cold_full"] >= 10.0, row
     assert all(bound <= 0.05

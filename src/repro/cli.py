@@ -284,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: REPRO_JOBS or 1)")
     p.add_argument("--backend", default=None,
-                   choices=["serial", "thread", "process", "remote",
-                            "auto"],
+                   choices=["serial", "process", "remote", "auto"],
                    help="execution backend (default: REPRO_BACKEND, or "
                         "derived from --jobs: process when jobs > 1)")
     p.add_argument("--coord", default=None,
@@ -313,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the simulation grid "
                         "(default: REPRO_JOBS or 1)")
     p.add_argument("--backend", default=None,
-                   choices=["serial", "thread", "process", "remote",
-                            "auto"],
+                   choices=["serial", "process", "remote", "auto"],
                    help="execution backend for the simulation grid "
                         "(default: REPRO_BACKEND or derived from --jobs)")
     p.add_argument("--coord", default=None,

@@ -7,25 +7,23 @@ it was queued), straggler cancellation, and handing unfinished tasks back
 to the runner's serial retry ladder. The runner keeps the grid logic —
 dedup, cache lookups, manifests, attempt budgets — and delegates the
 fan-out itself, so every backend shares one recovery path instead of
-re-implementing three.
+re-implementing it.
 
-Four implementations exist:
+Three implementations exist:
 
 * ``serial`` (:class:`SerialBackend`, here) — no fan-out at all; every
   task flows through the runner's in-process completion ladder with zero
   submission overhead.
-* ``thread`` (:mod:`repro.exec.thread`) — a thread pool over per-thread
-  runner clones; correct under the GIL today and positioned for
-  GIL-releasing compiled kernels.
 * ``process`` (:mod:`repro.exec.process`) — worker processes with the
-  broken-pool / timeout / memory-pressure recovery ladder.
+  broken-pool / fork-failure / timeout / memory-pressure recovery
+  ladder.
 * ``remote`` (:mod:`repro.exec.remote`) — a TCP coordinator handing
   tasks to ``repro worker`` processes under time-bounded leases, with
   work-stealing, at-most-once result commits and graceful degradation
   to a local backend when every worker is gone.
-* ``auto`` (:mod:`repro.exec.auto`) — not a backend class but a picker:
-  measures the machine's shape and resolves to one of the local three
-  (never ``remote``: distributing work is an explicit choice).
+* ``auto`` (:mod:`repro.exec.auto`) — not a backend class but one rule:
+  ``serial`` on one usable CPU, ``process`` otherwise (never ``remote``:
+  distributing work is an explicit choice).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.experiments import ExperimentRunner
 
 #: the valid ``REPRO_BACKEND`` values (``auto`` resolves to a local one)
-BACKEND_NAMES = ("serial", "thread", "process", "remote", "auto")
+BACKEND_NAMES = ("serial", "process", "remote", "auto")
 
 #: how often the parallel backends poll pending futures for task starts
 #: and expired deadlines (seconds); small enough that a deadline is
@@ -84,7 +82,7 @@ class ExecutionBackend:
     which is the single retry hand-back path shared by all backends.
     """
 
-    #: the resolved backend name (``serial`` / ``thread`` / ``process``)
+    #: the resolved backend name (``serial`` / ``process`` / ``remote``)
     name = "backend"
 
     #: whether ``run_many`` should route batches through :meth:`run_batch`

@@ -19,6 +19,10 @@ with two scheduler bugs fixed:
   deaths. The first break now counts the death; the surviving tasks are
   handed back as ``requeued``.
 
+A pool that cannot be built, or that fails to fork a worker at submit
+time, costs parallelism, never the batch: every task it could not take
+is handed back as ``requeued`` and completes serially.
+
 Stragglers are cancelled (queued tasks) or abandoned (running tasks —
 the pool is shut down without waiting for them) and handed back to the
 runner's serial retry ladder. If every worker is wedged behind abandoned
@@ -48,8 +52,11 @@ class ProcessBackend(ExecutionBackend):
         max_workers = runner._fanout_workers(len(todo))
         try:
             pool = runner._pool_cls()(max_workers=max_workers)
-        except (OSError, PermissionError, ValueError):
-            return list(todo)  # restricted sandbox: serial fallback
+        except (OSError, ValueError):
+            # restricted sandbox: the whole batch completes serially
+            for key, app, _ in todo:
+                runner._note_requeued(key, app)
+            return list(todo)
         remote = runner._remote_entry()
         wait_on_exit = True
         pool_broken = False
@@ -61,14 +68,22 @@ class ProcessBackend(ExecutionBackend):
             started: dict = {}    # future -> monotonic first-running stamp
             pending = set()
             for index, (key, app, config) in enumerate(todo):
-                future = pool.submit(
-                    remote, app, config, runner.scale, runner.seed,
-                    str(runner.cache_dir), runner.use_disk_cache,
-                    worker_log_dir,
-                    checkpoint_events=runner.checkpoint_events,
-                    heartbeat_timeout=runner.heartbeat_timeout,
-                    mem_limit_mb=runner.mem_limit_mb,
-                    fidelity=runner.fidelity)
+                try:
+                    future = pool.submit(
+                        remote, app, config, runner.scale, runner.seed,
+                        str(runner.cache_dir), runner.use_disk_cache,
+                        worker_log_dir,
+                        checkpoint_events=runner.checkpoint_events,
+                        heartbeat_timeout=runner.heartbeat_timeout,
+                        mem_limit_mb=runner.mem_limit_mb,
+                        fidelity=runner.fidelity)
+                except OSError:
+                    # the pool cannot fork another worker (EAGAIN under a
+                    # process rlimit): what is already submitted settles
+                    # below, the rest completes serially
+                    for key, app, _ in todo[index:]:
+                        runner._note_requeued(key, app)
+                    break
                 meta[future] = (index, key, app)
                 submitted[future] = time.monotonic()
                 pending.add(future)

@@ -36,8 +36,8 @@ wedging:
   kind) terminate instead.
 * **Graceful degradation.** No workers within ``REPRO_REMOTE_WAIT``
   seconds — at batch start or after losing the whole fleet mid-batch —
-  and the remaining tasks fall back to the machine-measured local
-  backend (:func:`repro.exec.auto.auto_pick`) instead of failing the
+  and the remaining tasks fall back to the auto-picked local backend
+  (:func:`repro.exec.auto.auto_pick`) instead of failing the
   campaign. A coordinator that cannot even bind degrades the same way.
   Tasks a worker *errored* on are handed to the runner's serial retry
   ladder, which owns the attempt budget, exactly as on every other
@@ -1036,7 +1036,7 @@ class RemoteBackend(ExecutionBackend):
 
         if not todo:
             return []
-        choice = auto_pick(pool_cls=runner._pool_cls())
+        choice = auto_pick()
         get_registry().inc(f"remote.fallback.{choice.backend}")
         backend = make_backend(choice.backend)
         if not backend.parallel:

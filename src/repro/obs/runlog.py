@@ -13,17 +13,17 @@ Record kinds (``kind`` field):
 * ``run`` — one simulation request: cache key, app, config name + digest,
   scale, seed, worker pid, cache disposition (``memory`` / ``disk`` /
   ``simulated``), the execution backend context that served it
-  (``serial`` parent / ``thread`` clone / ``process`` worker), the
+  (``serial`` parent / ``process`` worker / ``remote`` worker), the
   hot-loop kernel used (``object`` / ``packed``; ``simulated`` runs
   only), and the trace-load / simulate / store timings in seconds.
 * ``retry`` — one task handed back for serial completion, with the reason
   (``worker-died`` / ``timeout`` / ``memory`` / ``error`` — a failed
   attempt that will be re-tried — or ``requeued``, a healthy task that
-  lost its executor to a sibling's pool break or a wedged queue).
+  lost its executor to a sibling's pool break, a wedged queue or a pool
+  that could not fork).
 * ``backend-choice`` — ``REPRO_BACKEND=auto`` resolved to a concrete
-  backend: the pick, the usable CPU count, the calibration-probe
-  measurements (interpreter spin score, worker-process round-trip
-  seconds) and the human-readable reason.
+  backend: the pick, the usable CPU count and the human-readable
+  reason.
 * ``corrupt`` — an on-disk artifact (``trace`` / ``result`` / ``manifest``)
   failed its integrity check and was quarantined: artifact kind, original
   filename, quarantine filename (None when the move failed), and the cache
@@ -37,8 +37,6 @@ Record kinds (``kind`` field):
   skipped (quarantined) on the way (``fallbacks``).
 * ``stalled`` — the heartbeat watchdog killed a stalled worker: task key,
   app, the worker pid and its heartbeat age in seconds.
-* ``fanout-disabled`` — a ``jobs="auto"`` runner found one usable CPU and
-  fell back to serial execution: the CPU count and pid.
 * ``worker-join`` / ``worker-leave`` — a remote worker connected to /
   disconnected from a ``REPRO_BACKEND=remote`` coordinator: the
   coordinator-assigned worker id, the worker's pid/host/peer address on

@@ -14,10 +14,10 @@ the same workload share one cache entry.
 
 Grids fan out through a pluggable execution backend
 (:mod:`repro.exec`): ``REPRO_BACKEND`` (or the ``backend`` constructor
-argument / ``--backend`` CLI flag) selects ``serial``, ``thread``,
-``process``, ``remote`` (socket-connected ``repro worker`` processes
-under time-bounded leases — see :mod:`repro.exec.remote`), or ``auto``
-— which measures the machine shape and picks one of the local three.
+argument / ``--backend`` CLI flag) selects ``serial``, ``process``,
+``remote`` (socket-connected ``repro worker`` processes under
+time-bounded leases — see :mod:`repro.exec.remote`), or ``auto`` —
+``serial`` on one usable CPU, ``process`` otherwise.
 When no backend is named, it derives from the
 worker count: ``REPRO_JOBS`` (or the ``jobs`` constructor argument /
 ``--jobs`` CLI flag) above 1 means ``process``, the historical
@@ -167,9 +167,6 @@ _warned_envs: set[str] = set()
 
 #: the low-disk degradation warns once per process, not once per runner
 _warned_low_disk = False
-
-#: likewise the single-CPU fan-out auto-disable notice
-_warned_single_cpu = False
 
 
 def _env_or_default(name: str, default, convert):
@@ -376,7 +373,7 @@ class ExperimentRunner:
     def __init__(self, cache_dir: Path | str | None = None,
                  scale: float | None = None, seed: int | None = None,
                  use_disk_cache: bool = True,
-                 jobs: int | str | None = None,
+                 jobs: int | None = None,
                  backend: str | None = None,
                  task_timeout: float | None = None,
                  log_dir: Path | str | None = None,
@@ -388,9 +385,8 @@ class ExperimentRunner:
                  mem_limit_mb: int | None = None,
                  fidelity: str | None = None) -> None:
         """``backend`` (or ``REPRO_BACKEND``) names the execution
-        backend for grid batches — ``serial``, ``thread``, ``process``,
-        ``remote`` or ``auto`` (see :mod:`repro.exec`); unset, it
-        derives from the
+        backend for grid batches — ``serial``, ``process``, ``remote``
+        or ``auto`` (see :mod:`repro.exec`); unset, it derives from the
         worker count. ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
         task attempt; ``max_attempts`` / ``retry_backoff`` (or
         ``REPRO_MAX_ATTEMPTS`` / ``REPRO_RETRY_BACKOFF``) shape the retry
@@ -417,29 +413,7 @@ class ExperimentRunner:
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
         self.use_disk_cache = use_disk_cache
-        fanout_disabled = False
-        if jobs == "auto":
-            # size the pool to the CPUs this process may actually use —
-            # but an explicitly-set REPRO_JOBS always wins, and a
-            # single-CPU host gets no fan-out at all (worker processes
-            # would only add serialization overhead there)
-            if os.environ.get(_JOBS_ENV) is not None:
-                self.jobs = default_jobs()
-            else:
-                cpus = available_cpus()
-                self.jobs = max(1, cpus)
-                if cpus <= 1:
-                    fanout_disabled = True
-                    global _warned_single_cpu
-                    if not _warned_single_cpu:
-                        _warned_single_cpu = True
-                        warnings.warn(
-                            "jobs='auto' on a single-CPU host: process "
-                            "fan-out disabled (set REPRO_JOBS to force "
-                            "a pool)", RuntimeWarning, stacklevel=2)
-        else:
-            self.jobs = default_jobs() if jobs is None \
-                else max(1, int(jobs))
+        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         #: whether the pool width was chosen by the user (constructor or
         #: ``REPRO_JOBS``) — if not, parallel backends size themselves
         #: to the usable CPUs instead of inheriting the serial default
@@ -457,8 +431,8 @@ class ExperimentRunner:
         self.backend_choice = None
         self._backend_impl = None
         #: execution context stamped on this runner's run records:
-        #: "serial" (parent / inline), "thread" (pool-thread clones),
-        #: "process" (worker processes), "remote" (socket workers)
+        #: "serial" (parent / inline), "process" (worker processes),
+        #: "remote" (socket workers)
         self.backend_label = "serial"
         self.task_timeout = default_task_timeout() if task_timeout is None \
             else (task_timeout if task_timeout > 0 else None)
@@ -483,10 +457,6 @@ class ExperimentRunner:
             self._runlog = RunLogWriter(default_log_dir(self.cache_dir))
         else:
             self._runlog = RunLogWriter(None)
-        if fanout_disabled and self._runlog.enabled:
-            self._runlog.write({
-                "kind": "fanout-disabled", "ts": round(time.time(), 3),
-                "cpus": available_cpus(), "pid": os.getpid()})
         #: parallel tasks completed serially after a worker died/timed out
         self.retries = 0
         #: stalled workers the heartbeat watchdog killed across batches
@@ -955,9 +925,9 @@ class ExperimentRunner:
     def _resolve_backend(self):
         """The :class:`~repro.exec.ExecutionBackend` running this
         runner's batches, resolved once — on the first batch that has
-        uncached work, so fully-cached campaigns never pay for (or are
-        perturbed by) a probe. ``auto`` is measured here and its choice,
-        with the machine inputs that drove it, is recorded."""
+        uncached work, so fully-cached campaigns never pay for it.
+        ``auto`` is resolved here and its choice, with the CPU count
+        that drove it, is recorded."""
         if self._backend_impl is None:
             requested = self.backend_requested
             if requested is None:
@@ -966,7 +936,7 @@ class ExperimentRunner:
                 requested = "process" if self.jobs > 1 else "serial"
             name = requested
             if requested == "auto":
-                choice = auto_pick(pool_cls=self._pool_cls())
+                choice = auto_pick()
                 self.backend_choice = choice
                 self._log_backend_choice(choice)
                 name = choice.backend
@@ -977,7 +947,7 @@ class ExperimentRunner:
 
     def _log_backend_choice(self, choice) -> None:
         """Append one ``backend-choice`` record: what ``auto`` picked
-        and the machine measurements that drove it."""
+        and why."""
         self.metrics.inc(f"backend.auto.{choice.backend}")
         if not self._runlog.enabled:
             return
@@ -985,26 +955,6 @@ class ExperimentRunner:
                   "pid": os.getpid()}
         record.update(choice.to_record())
         self._runlog.write(record)
-
-    def _thread_clone(self) -> "ExperimentRunner":
-        """A serial runner for one pool thread of the thread backend:
-        same caches, scale, seed and logging as the parent, but never a
-        pool of its own, no retry ladder (the parent owns attempt
-        accounting), and — critically — ``is_worker`` stays False, so
-        the worker-process hazards (memory rlimits, heartbeats, mid-sim
-        fault hooks that ``os._exit`` or stall their process) are never
-        armed inside the parent interpreter."""
-        clone = ExperimentRunner(
-            cache_dir=self.cache_dir, scale=self.scale, seed=self.seed,
-            use_disk_cache=self.use_disk_cache, jobs=1, backend="serial",
-            task_timeout=None, max_attempts=1, retry_backoff=0.0,
-            log_dir=self._runlog.log_dir if self._runlog.enabled else None,
-            checkpoint_events=self.checkpoint_events,
-            heartbeat_timeout=0.0, min_disk_mb=self.min_disk_mb,
-            mem_limit_mb=0, fidelity=self.fidelity)
-        clone.backend_label = "thread"
-        clone.cache_writes_enabled = self.cache_writes_enabled
-        return clone
 
     # -- fan-out accounting (the backends call back into these) ----------------
 
@@ -1030,7 +980,8 @@ class ExperimentRunner:
 
     def _note_requeued(self, key: str, app: str) -> None:
         """A task lost its executor through no fault of its own (pool
-        break survivor, queue wedged behind abandoned stragglers): it
+        break survivor, queue wedged behind abandoned stragglers, a pool
+        that could not be built or could not fork a worker): it
         completes serially instead."""
         self.retries += 1
         self.metrics.inc("runner.tasks_requeued")
@@ -1134,10 +1085,10 @@ class ExperimentRunner:
         completed serially in the parent, timeout-bounded, with retries
         and exponential backoff) — and are bit-identical across
         backends: each simulation is a pure function of its key, and
-        workers (processes and thread clones alike) share the parent's
-        on-disk caches via atomic writes. If the platform cannot spawn
-        the backend's workers (restricted sandboxes), the batch silently
-        degrades to serial execution.
+        workers share the parent's on-disk caches via atomic writes. If
+        the platform cannot spawn the backend's workers (restricted
+        sandboxes, fork failures), the batch degrades to serial
+        execution, each such task counted as ``requeued``.
 
         The batch's tasks are recorded in a grid manifest under
         ``<cache>/manifests/`` whose statuses update atomically as tasks

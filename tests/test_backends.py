@@ -3,7 +3,7 @@
 The pluggable backend layer (:mod:`repro.exec`) owns how ``run_many``
 batches fan out. The contract pinned here:
 
-* every backend — serial, thread, process, and whatever ``auto``
+* every backend — serial, process, remote, and whatever ``auto``
   resolves to — produces bit-identical :class:`SimResult` objects and
   writes identically-keyed cache files, on either hot-loop kernel;
 * per-task deadlines are measured from task *start*: a task queued
@@ -12,13 +12,12 @@ batches fan out. The contract pinned here:
   queued siblings into spurious timeouts (they are ``requeued``);
 * one pool break is accounted as ONE worker death, with the flooded
   sibling tasks counted as ``requeued``;
-* ``auto`` never picks ``process`` on a single-CPU machine (and runs no
-  probe there at all), degrades to ``thread`` where worker processes are
-  unavailable or too slow to start, and records its choice;
+* ``auto`` is one rule — ``serial`` on one usable CPU, ``process``
+  otherwise — that runs no probe, and records its choice;
 * ``REPRO_BACKEND`` / the ``backend`` constructor argument / backend
   derivation from the worker count behave like every other harness knob
-  (constructor > env > derived, malformed env warns once and falls
-  back).
+  (constructor > env > derived, malformed env — including a stale
+  ``thread`` — warns once and falls back).
 """
 
 import functools
@@ -27,11 +26,10 @@ import time
 
 import pytest
 
-import repro.exec.auto as auto_mod
 import repro.sim.experiments as experiments_mod
+from repro.cli import build_parser
 from repro.exec import (BACKEND_NAMES, ProcessBackend, RemoteBackend,
-                        SerialBackend, ThreadBackend, auto_pick,
-                        make_backend)
+                        SerialBackend, auto_pick, make_backend)
 from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
 from repro.obs.stats import format_table, summarize
@@ -86,24 +84,16 @@ def recording_metrics():
     metrics_mod.set_registry(previous)
 
 
-@pytest.fixture
-def fresh_auto_cache():
-    """Isolate each test's auto-pick from the per-process memoization."""
-    auto_mod._choice_cache.clear()
-    yield
-    auto_mod._choice_cache.clear()
-
-
 class TestBackendParity:
     def test_all_backends_bit_identical_with_identical_cache_keys(
             self, tmp_path):
         """The acceptance matrix: the same grid through the serial,
-        thread, process and remote (self-hosted socket workers) backends
+        process, remote (self-hosted socket workers) and auto backends
         yields bit-identical results AND identically-named
         (= identically-keyed) cache files."""
         reference = None
         ref_files = None
-        for backend in ("serial", "thread", "process", "remote"):
+        for backend in ("serial", "process", "remote", "auto"):
             runner = ExperimentRunner(cache_dir=tmp_path / backend,
                                       scale=0.1, seed=0, jobs=2,
                                       backend=backend)
@@ -128,14 +118,14 @@ class TestBackendParity:
         pairs = [("bing", presets.baseline()),
                  ("bing", presets.by_name("nl"))]
         outs = []
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             runner = ExperimentRunner(
                 cache_dir=tmp_path / f"{kernel}-{backend}", scale=0.1,
                 seed=0, jobs=2, backend=backend)
             outs.append([r.to_dict() for r in runner.run_many(pairs)])
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
-    def test_auto_backend_matches_serial(self, tmp_path, fresh_auto_cache):
+    def test_auto_backend_matches_serial(self, tmp_path):
         """Whatever ``auto`` resolves to on this machine, the results are
         the serial results, and the resolution is recorded."""
         pairs = [("bing", presets.baseline())]
@@ -145,7 +135,7 @@ class TestBackendParity:
                                 seed=0, backend="auto")
         assert [r.to_dict() for r in auto.run_many(pairs)] \
             == [r.to_dict() for r in serial.run_many(pairs)]
-        assert auto.backend_name in ("serial", "thread", "process")
+        assert auto.backend_name in ("serial", "process")
         assert auto.backend_choice is not None
         assert auto.backend_choice.backend == auto.backend_name
 
@@ -241,64 +231,36 @@ class TestPoolBreakAccounting:
 
 
 class TestAutoPick:
-    def test_single_cpu_is_serial_and_never_probes(self, monkeypatch,
-                                                   fresh_auto_cache):
+    def test_single_cpu_is_serial_and_never_probes(self, monkeypatch):
+        """One usable CPU resolves ``serial`` without building a pool or
+        timing anything."""
         monkeypatch.setattr(
-            auto_mod, "_spin_score",
-            lambda *a, **k: pytest.fail("probe ran on a single-CPU pick"))
+            experiments_mod, "ProcessPoolExecutor",
+            lambda *a, **k: pytest.fail("pool built on a single-CPU pick"))
         monkeypatch.setattr(
-            auto_mod, "_process_roundtrip",
-            lambda *a, **k: pytest.fail("probe ran on a single-CPU pick"))
+            time, "perf_counter",
+            lambda: pytest.fail("timing loop ran on a single-CPU pick"))
         choice = auto_pick(cpus=1)
         assert choice.backend == "serial"
-        assert choice.spin_score is None
-        assert choice.process_roundtrip_s is None
+        assert "single usable CPU" in choice.reason
 
-    def test_multi_cpu_with_fast_workers_is_process(self, monkeypatch,
-                                                    fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
-        monkeypatch.setattr(auto_mod, "_process_roundtrip",
-                            lambda *a, **k: 0.01)
+    def test_multi_cpu_with_fast_workers_is_process(self, monkeypatch):
+        """More than one usable CPU resolves ``process`` by rule alone:
+        no pool is built and no round-trip is timed."""
+        monkeypatch.setattr(
+            experiments_mod, "ProcessPoolExecutor",
+            lambda *a, **k: pytest.fail("auto_pick built a pool"))
+        monkeypatch.setattr(
+            time, "perf_counter",
+            lambda: pytest.fail("auto_pick ran a timing loop"))
         choice = auto_pick(cpus=8)
         assert choice.backend == "process"
         assert choice.cpus == 8
-        assert choice.process_roundtrip_s == 0.01
-
-    def test_unspawnable_workers_degrade_to_thread(self, monkeypatch,
-                                                   fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
-        monkeypatch.setattr(auto_mod, "_process_roundtrip",
-                            lambda *a, **k: None)
-        assert auto_pick(cpus=4).backend == "thread"
-
-    def test_slow_worker_roundtrip_degrades_to_thread(self, monkeypatch,
-                                                      fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
-        monkeypatch.setattr(
-            auto_mod, "_process_roundtrip",
-            lambda *a, **k: auto_mod.ROUNDTRIP_CEILING_S * 5)
-        choice = auto_pick(cpus=4)
-        assert choice.backend == "thread"
-        assert "round-trip" in choice.reason
-
-    def test_choice_is_memoized_per_cpu_count(self, monkeypatch,
-                                              fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
-        monkeypatch.setattr(auto_mod, "_process_roundtrip",
-                            lambda *a, **k: 0.01)
-        first = auto_pick(cpus=4)
-        monkeypatch.setattr(
-            auto_mod, "_process_roundtrip",
-            lambda *a, **k: pytest.fail("probed twice for one machine"))
-        assert auto_pick(cpus=4) is first
-        # a different machine shape probes afresh
-        monkeypatch.setattr(auto_mod, "_process_roundtrip",
-                            lambda *a, **k: 0.01)
-        assert auto_pick(cpus=2) is not first
+        monkeypatch.setattr(experiments_mod, "available_cpus", lambda: 2)
+        assert auto_pick().backend == "process"
 
     def test_runner_never_picks_process_on_single_cpu(self, tmp_path,
-                                                      monkeypatch,
-                                                      fresh_auto_cache):
+                                                      monkeypatch):
         """End to end through the runner: on a single-CPU machine,
         ``backend=auto`` resolves to serial — never a process pool."""
         monkeypatch.setattr(experiments_mod, "available_cpus", lambda: 1)
@@ -314,38 +276,54 @@ class TestAutoPick:
         assert choices[0]["backend"] == "serial"
         assert choices[0]["cpus"] == 1
 
-    def test_to_record_is_json_shaped(self, fresh_auto_cache):
+    def test_to_record_is_json_shaped(self):
         record = auto_pick(cpus=1).to_record()
-        assert set(record) == {"backend", "cpus", "spin_score",
-                               "process_roundtrip_s", "reason"}
+        assert set(record) == {"backend", "cpus", "reason"}
 
 
 class TestBackendConfiguration:
     def test_env_sets_requested_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         runner = ExperimentRunner(use_disk_cache=False)
-        assert runner.backend_requested == "thread"
+        assert runner.backend_requested == "process"
 
     def test_env_is_normalised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "  Thread ")
+        monkeypatch.setenv("REPRO_BACKEND", "  Process ")
         assert ExperimentRunner(
-            use_disk_cache=False).backend_requested == "thread"
+            use_disk_cache=False).backend_requested == "process"
 
     def test_malformed_env_warns_once_and_derives(self, monkeypatch):
-        monkeypatch.setattr(experiments_mod, "_warned_envs", set())
-        monkeypatch.setenv("REPRO_BACKEND", "quantum")
-        with pytest.warns(RuntimeWarning, match="REPRO_BACKEND"):
-            runner = ExperimentRunner(use_disk_cache=False)
-        assert runner.backend_requested is None
+        """A typo, or the deleted ``thread`` name left in a stale
+        environment, warns once and derives the backend from ``jobs``."""
+        for stale in ("quantum", "thread"):
+            monkeypatch.setattr(experiments_mod, "_warned_envs", set())
+            monkeypatch.setenv("REPRO_BACKEND", stale)
+            with pytest.warns(RuntimeWarning, match="REPRO_BACKEND") \
+                    as caught:
+                runner = ExperimentRunner(use_disk_cache=False, jobs=2)
+                ExperimentRunner(use_disk_cache=False)
+            assert len([w for w in caught
+                        if "REPRO_BACKEND" in str(w.message)]) == 1, stale
+            assert runner.backend_requested is None, stale
+            assert runner._resolve_backend().name == "process", stale
 
     def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         runner = ExperimentRunner(use_disk_cache=False, backend="serial")
         assert runner.backend_requested == "serial"
 
-    def test_invalid_constructor_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            ExperimentRunner(use_disk_cache=False, backend="quantum")
+    def test_invalid_constructor_backend_raises(self, capsys):
+        """Unknown names — the deleted ``thread`` among them — are
+        refused by the constructor, naming the four valid ones, and by
+        the CLI's ``--backend`` choices."""
+        for name in ("quantum", "thread"):
+            with pytest.raises(ValueError,
+                               match="unknown execution backend") as info:
+                ExperimentRunner(use_disk_cache=False, backend=name)
+            assert "serial, process, remote, auto" in str(info.value)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--backend", name])
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_backend_derives_from_worker_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -363,10 +341,8 @@ class TestBackendConfiguration:
             make_backend("auto")  # auto is a picker, not a backend
 
     def test_backend_registry_shape(self):
-        assert BACKEND_NAMES == ("serial", "thread", "process", "remote",
-                                 "auto")
+        assert BACKEND_NAMES == ("serial", "process", "remote", "auto")
         assert SerialBackend().parallel is False
-        assert ThreadBackend().parallel is True
         assert ProcessBackend().parallel is True
         assert RemoteBackend().parallel is True
 
@@ -379,19 +355,19 @@ class TestBackendObservability:
         ``backends —`` summary line."""
         log_dir = tmp_path / "logs"
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                  jobs=2, backend="thread",
+                                  jobs=2, backend="process",
                                   log_dir=log_dir)
         runner.run_many([("bing", presets.baseline())])
         simulated = [r for r in iter_records(log_dir)
                      if r.get("kind") == "run"
                      and r.get("cache") == "simulated"]
         assert simulated
-        assert all(r["backend"] == "thread" for r in simulated)
+        assert all(r["backend"] == "process" for r in simulated)
         summary = summarize(iter_records(log_dir))
-        assert summary["backends"] == {"thread": len(simulated)}
+        assert summary["backends"] == {"process": len(simulated)}
         table = format_table(summary)
         assert "backend" in table
-        assert "backends — thread:" in table
+        assert "backends — process:" in table
 
     def test_serial_runs_are_stamped_serial(self, tmp_path):
         log_dir = tmp_path / "logs"
@@ -412,7 +388,7 @@ class TestBackendObservability:
             raise RuntimeError("injected simulation bug")
 
         monkeypatch.setattr(ExperimentRunner, "_simulate", poisoned)
-        for backend in ("thread", "process"):
+        for backend in ("serial", "process"):
             runner = ExperimentRunner(cache_dir=tmp_path / backend,
                                       scale=0.1, seed=0, jobs=2,
                                       backend=backend, max_attempts=1,

@@ -98,33 +98,10 @@ class TestCorruptionStorms:
         counters = recording_metrics.snapshot()["counters"]
         assert counters.get("runner.worker_deaths", 0) >= 1
 
-    def test_corruption_storm_thread_backend(self, tmp_path, monkeypatch,
-                                             clean_reference,
-                                             recording_metrics):
-        """Trace corruption + torn result writes with the grid fanned
-        over the thread backend: pool-thread clones detect, quarantine
-        and regenerate through the same atomic-write protocol, ending
-        bit-identical. (Kill faults stay out of this storm deliberately —
-        they ``os._exit`` the process they run in, which for a thread
-        clone would be the parent; the clones never arm them.)"""
-        _arm(monkeypatch, "corrupt_trace:0.5,torn_write:0.5,seed:13")
-        chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2, backend="thread",
-                                 max_attempts=6, retry_backoff=0.01)
-        got = [r.to_dict() for r in chaos.run_many(_pairs())]
-        assert got == clean_reference
-        # a second pass over the battered cache is identical too
-        again = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2, backend="thread")
-        assert [r.to_dict() for r in again.run_many(_pairs())] \
-            == clean_reference
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters.get("faults.corrupt_trace", 0) \
-            + counters.get("faults.torn_write", 0) >= 1
-
     def test_combined_storm_parallel(self, tmp_path, monkeypatch,
-                                     clean_reference):
-        """Everything at once, over worker processes."""
+                                     clean_reference, recording_metrics):
+        """Everything at once, over worker processes; a second parallel
+        pass over the battered cache is bit-identical too."""
         _arm(monkeypatch,
              "corrupt_trace:0.4,torn_write:0.4,kill_worker:0.3,seed:3")
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
@@ -133,6 +110,15 @@ class TestCorruptionStorms:
                                  max_attempts=6, retry_backoff=0.01)
         got = [r.to_dict() for r in chaos.run_many(_pairs())]
         assert got == clean_reference
+        again = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
+                                 jobs=2, backend="process",
+                                 task_timeout=120.0,
+                                 max_attempts=6, retry_backoff=0.01)
+        assert [r.to_dict() for r in again.run_many(_pairs())] \
+            == clean_reference
+        counters = recording_metrics.snapshot()["counters"]
+        assert counters.get("faults.corrupt_trace", 0) \
+            + counters.get("faults.torn_write", 0) >= 1
 
 
 class TestMidSimResilience:
@@ -188,8 +174,8 @@ class TestMidSimResilience:
         the grid completes bit-identically."""
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         faults.set_fault_plan(faults.FaultPlan())
-        # the RSS ceiling is only armed in process-pool workers (thread
-        # clones share the parent's address space): pin the backend
+        # the RSS ceiling is only armed in process-pool workers: pin the
+        # backend
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
                                  jobs=2, backend="process",
                                  task_timeout=60.0,

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.obs.runlog import iter_records
 from repro.resilience import GridManifest, unwrap_result
 from repro.sim import presets
 from repro.sim.experiments import (ExperimentRunner, GridTaskError,
@@ -130,21 +131,61 @@ class TestCacheIntegrity:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+class _ForklessPool:
+    """A pool that constructs fine but cannot fork a worker: every
+    ``submit`` fails with EAGAIN, as under a process-count rlimit."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, *args, **kwargs):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _ForkFailsAfterOnePool(ProcessPoolExecutor):
+    """A real pool whose second and later submits fail with EAGAIN: the
+    first task runs on a worker, the rest must complete serially."""
+
+    def submit(self, *args, **kwargs):
+        if getattr(self, "_forked", False):
+            raise OSError(11, "Resource temporarily unavailable")
+        self._forked = True
+        return super().submit(*args, **kwargs)
+
+
 class TestFallback:
     def test_pool_creation_failure_degrades_to_serial(self, tmp_path,
                                                       monkeypatch):
+        """A pool that cannot be built, or cannot fork at submit time,
+        degrades to serial: results bit-identical to a serial run, and
+        every task that lost its executor is counted as requeued."""
         def broken_pool(*args, **kwargs):
             raise OSError("no process support")
 
-        monkeypatch.setattr("repro.sim.experiments.ProcessPoolExecutor",
-                            broken_pool)
-        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
-                                  jobs=4, backend="process")
-        results = runner.run_many([("bing", presets.baseline())])
+        pairs = [("bing", presets.baseline()), ("pixlr", presets.baseline())]
         reference = ExperimentRunner(
             cache_dir=tmp_path / "ref", scale=0.25, seed=0,
-            jobs=1).run("bing", presets.baseline())
-        assert results[0].to_dict() == reference.to_dict()
+            jobs=1).run_many(pairs)
+        cases = {"broken-ctor": (broken_pool, len(pairs)),
+                 "forkless-submit": (_ForklessPool, len(pairs)),
+                 "fork-fails-after-one": (_ForkFailsAfterOnePool, 1)}
+        for name, (pool_cls, requeued) in cases.items():
+            monkeypatch.setattr(
+                "repro.sim.experiments.ProcessPoolExecutor", pool_cls)
+            log_dir = tmp_path / name / "logs"
+            runner = ExperimentRunner(cache_dir=tmp_path / name,
+                                      scale=0.25, seed=0, jobs=2,
+                                      backend="process", log_dir=log_dir)
+            results = runner.run_many(pairs)
+            assert [r.to_dict() for r in results] \
+                == [r.to_dict() for r in reference], name
+            assert runner.retries == requeued, name
+            reasons = [r["reason"] for r in iter_records(log_dir)
+                       if r.get("kind") == "retry"]
+            assert reasons == ["requeued"] * requeued, name
 
     def test_cached_batch_never_touches_the_pool(self, tmp_path,
                                                  monkeypatch):
@@ -255,21 +296,34 @@ class TestJobsConfiguration:
 
 
 class TestAutoJobs:
+    """``backend="auto"``: the one local fan-out rule, pinned end to end
+    through the runner for both CPU counts."""
+
     def test_auto_jobs_single_cpu_disables_fanout(self, tmp_path,
                                                   monkeypatch):
         from repro.sim import experiments
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
-        monkeypatch.setattr(experiments, "_warned_single_cpu", False)
-        with pytest.warns(RuntimeWarning, match="single-CPU"):
-            runner = experiments.ExperimentRunner(
-                cache_dir=tmp_path, jobs="auto", log_dir=tmp_path / "log")
-        assert runner.jobs == 1
+
+        def exploding_pool(*args, **kwargs):
+            raise AssertionError("pool created on a single-CPU host")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            exploding_pool)
+        runner = experiments.ExperimentRunner(
+            cache_dir=tmp_path, scale=0.1, seed=0, backend="auto",
+            log_dir=tmp_path / "log")
+        runner.run_many([("bing", presets.baseline()),
+                         ("pixlr", presets.baseline())])
+        assert runner.backend_name == "serial"
+        assert runner.retries == 0
         records = [json.loads(line) for path
                    in (tmp_path / "log").glob("*.jsonl")
                    for line in path.read_text().splitlines()]
-        assert any(r.get("kind") == "fanout-disabled" for r in records)
+        [choice] = [r for r in records if r.get("kind") == "backend-choice"]
+        assert choice["backend"] == "serial"
+        assert "single usable CPU" in choice["reason"]
 
     def test_auto_jobs_multi_cpu_fans_out(self, tmp_path, monkeypatch):
         from repro.sim import experiments
@@ -277,17 +331,21 @@ class TestAutoJobs:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.setattr(experiments, "available_cpus", lambda: 4)
         runner = experiments.ExperimentRunner(cache_dir=tmp_path,
-                                              jobs="auto")
-        assert runner.jobs == 4
+                                              backend="auto")
+        assert runner._resolve_backend().name == "process"
+        assert runner.backend_choice.cpus == 4
+        assert runner._fanout_workers(8) == 4  # sized to the usable CPUs
 
     def test_repro_jobs_env_beats_auto(self, tmp_path, monkeypatch):
         from repro.sim import experiments
 
         monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 4)
         runner = experiments.ExperimentRunner(cache_dir=tmp_path,
-                                              jobs="auto")
+                                              backend="auto")
+        assert runner._resolve_backend().name == "process"
         assert runner.jobs == 3
+        assert runner._fanout_workers(8) == 3
 
     def test_explicit_int_jobs_untouched(self, tmp_path, monkeypatch):
         from repro.sim import experiments
