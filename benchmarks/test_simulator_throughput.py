@@ -21,7 +21,10 @@ at scale 2 against a cold full-detail run, with the achieved
 headline-metric error and the reported error bounds. v7 drops the
 retired vector kernel's rows; v8 drops the deleted thread backend's row
 and the ``jobs_auto`` grid row, whose decision the ``auto`` backend row
-covers).
+covers; v9 adds the ``trace_codec`` row: the cold cost of recording a
+pixlr scale-4 trace to ``.espt`` and of decoding it back to packed
+streams, with the file's bytes per instruction, the CPU count and the
+commit).
 
 Timing discipline: every path is measured best-of-N over *fresh*
 simulators sharing one pre-packed trace.
@@ -33,9 +36,11 @@ instead of parallelism) are recognisable in recorded results.
 
 import json
 import os
+import subprocess
 import time
 from pathlib import Path
 
+from repro.isa.tracefile import dump_trace, load_trace
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner, available_cpus
 from repro.sim.simulator import Simulator
@@ -43,7 +48,8 @@ from repro.workloads import EventTrace, get_app
 
 _OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: snapshot layout: 8 drops the thread backend row and the ``jobs_auto``
+#: snapshot layout: 9 adds the cold ``trace_codec`` row; 8 drops the
+#: thread backend row and the ``jobs_auto``
 #: grid fields; 7 dropped the vector kernel's per-path fields (6 added
 #: the ``sampled_fidelity`` row — model-warm ``--fidelity sampled``
 #: Minstr/s at scale 2 against a cold full-detail run, with the achieved
@@ -51,7 +57,7 @@ _OUTPUT_DIR = Path(__file__).parent / "output"
 #: shared-nothing ``remote_fetch`` grid row; 4 the remote-backend grid
 #: row; 3 the per-execution-backend grid rows; 2 per-path Minstr/s,
 #: per-row kernel names and the auto-jobs grid row)
-SNAPSHOT_SCHEMA_VERSION = 8
+SNAPSHOT_SCHEMA_VERSION = 9
 
 
 def _prewarmed_trace(scale: float = 1.0) -> EventTrace:
@@ -124,6 +130,53 @@ def test_parallel_grid_throughput(benchmark, tmp_path_factory):
     assert len(grid) == 2
 
 
+def _commit() -> str:
+    """The checkout's short commit hash (``-dirty`` when the tree has
+    uncommitted changes), or ``"unknown"`` outside git."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=Path(__file__).parent, capture_output=True,
+                             text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def _trace_codec_row(directory: Path) -> dict:
+    """Cold ``.espt`` costs at the ROADMAP's cold size: recording every
+    event of a freshly built trace (the events are built before the clock
+    starts, so this is packing plus encoding), and decoding each event
+    back to the packed streams the fast path walks, from an empty event
+    window."""
+    scale = 4.0
+    trace = EventTrace(get_app("pixlr"), scale=scale, seed=0)
+    trace._cache_capacity = len(trace) + 4  # build each event once
+    instructions = sum(len(trace.event(k)) for k in range(len(trace)))
+    path = directory / "pixlr.espt"
+    start = time.perf_counter()
+    size = dump_trace(trace, path)
+    dump_s = time.perf_counter() - start
+    loaded = load_trace(path)
+    start = time.perf_counter()
+    for k in range(len(loaded)):
+        event = loaded._materialize(k)
+        event.packed_true()
+        event.packed_spec()
+    decode_s = time.perf_counter() - start
+    return {
+        "workload": f"pixlr scale={scale} seed=0",
+        "cache": "cold",
+        "cpu_count": os.cpu_count(),
+        "commit": _commit(),
+        "events": len(trace),
+        "instructions": instructions,
+        "dump_s": round(dump_s, 4),
+        "decode_to_packed_s_per_event": round(decode_s / len(loaded), 6),
+        "bytes": size,
+        "bytes_per_instr": round(size / instructions, 3),
+    }
+
+
 def _best_of(fn, reps: int) -> float:
     best = float("inf")
     for _ in range(reps):
@@ -153,8 +206,8 @@ def _time_path(trace, config, reps: int, **sim_kwargs) -> dict:
 
 
 def test_record_throughput_snapshot(tmp_path_factory):
-    """Measure object/packed and serial-vs-parallel speedups and write
-    them to ``output/BENCH_throughput.json`` (schema v7)."""
+    """Measure object/packed and serial-vs-parallel speedups and the
+    trace codec, and write them to ``output/BENCH_throughput.json``."""
     trace = _prewarmed_trace()
     snapshot: dict = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
@@ -283,6 +336,9 @@ def test_record_throughput_snapshot(tmp_path_factory):
         "achieved_error": {k: round(v, 6) for k, v in achieved.items()},
     }
 
+    snapshot["trace_codec"] = _trace_codec_row(
+        tmp_path_factory.mktemp("snapshot-trace-codec"))
+
     _OUTPUT_DIR.mkdir(exist_ok=True)
     (_OUTPUT_DIR / "BENCH_throughput.json").write_text(
         json.dumps(snapshot, indent=2) + "\n")
@@ -293,6 +349,8 @@ def test_record_throughput_snapshot(tmp_path_factory):
     for name, row in backends.items():
         assert row["wall_s"] > 0
         assert row["resolved"] in ("serial", "process", "remote"), row
+    row = snapshot["trace_codec"]
+    assert row["bytes_per_instr"] < 6, row
     row = snapshot["sampled_fidelity"]
     assert row["speedup_vs_cold_full"] >= 10.0, row
     assert all(bound <= 0.05

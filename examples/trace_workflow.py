@@ -47,7 +47,7 @@ def main() -> None:
             print(f"{cfg.name:<16}{replayed.cycles:>12,.0f}"
                   f"{replayed.ipc:>8.3f}{same:>26}")
 
-    print("\nThe .espt file is self-contained (varint-encoded streams), so "
+    print("\nThe .espt file is self-contained (columnar streams), so "
           "a recorded workload can be shared and replayed elsewhere.")
 
 

@@ -101,7 +101,8 @@ class PackedStream:
 
     def to_instructions(self) -> list[Instruction]:
         """Unpack back to the object representation."""
-        return [self.instruction(i) for i in range(len(self.pc))]
+        return list(map(Instruction, self.pc, self.kind, self.addr,
+                        self.taken, self.target))
 
     def concat(self, other: "PackedStream") -> "PackedStream":
         """A new packing of this stream followed by ``other``."""

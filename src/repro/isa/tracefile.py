@@ -7,61 +7,89 @@ export a generated :class:`~repro.workloads.EventTrace`'s streams to a
 compact binary file, and replay them later — or on another machine —
 without regenerating. It also provides a stable interchange format for
 regression-testing the generator, and backs the experiment harness's
-record-once/simulate-many trace cache (parallel workers deserialise a
-trace far faster than they can regenerate it).
+record-once/simulate-many trace cache.
 
-Format (little-endian, magic ``ESPT``, version 3):
+Format (little-endian, magic ``ESPT``, version 4):
 
 * header: magic, version, app-name length + UTF-8 bytes, workload seed,
-  event count
-* per event: handler id (varint), diverged flag, true-stream instruction
-  count, spec-stream instruction count (0 ⇒ shares the true stream),
-  true-stream byte length, spec-stream byte length, then the streams
-* per instruction: one kind/flag byte, then varint-encoded PC delta
-  (zig-zag), and — where the kind needs them — address and target varints
-* footer (version ≥ 3): magic ``ESPF`` plus the CRC32 of every
-  preceding byte, little-endian
+  event count (varints)
+* per event, an index entry: handler id (varint), diverged flag byte,
+  true-stream instruction count, spec-stream instruction count (0 ⇒
+  shares the true stream), the event's planned weight
+  (``trace.event_weight(k)``, the sampling covariate), true-block byte
+  length, spec-block byte length (varints); then the blocks
+* per stream, one columnar block: ``zlib`` (level 1) over, for ``n``
+  instructions, ``n`` flag bytes (``kind | taken << 4``) followed by three
+  ``int64`` columns of ``n`` values each — the pc deltas (the first from
+  0), the data addresses and the branch targets — so a block inflates to
+  exactly ``25 × n`` bytes
+* footer: magic ``ESPF`` plus the CRC32 of every preceding byte
 
-The per-stream byte lengths let :func:`load_trace` index every event in
-one O(events) skip-scan and decode streams lazily: a loaded trace holds
-the raw bytes (~6 B per instruction) and materialises events on demand
-into a small LRU window, the same memory discipline as
+The columns are exactly :class:`~repro.isa.stream.PackedStream`'s
+fields, so a block decodes straight into the packed form the simulator's
+fast path walks: ``array.frombytes`` for the columns,
+``itertools.accumulate`` for the pcs and ``bytes.translate`` for the
+kinds and taken flags, with no per-instruction Python code. The object
+form (``list[Instruction]``) is unpacked from the columns only if the
+object kernel asks for it (runahead and the reference model). Mostly-zero
+columns compress to ~1.7 B per instruction.
+
+The per-event byte lengths let :func:`load_trace` index every event in
+one O(events) skip-scan and decode blocks lazily: a loaded trace holds
+the raw file bytes and materialises events on demand into a small LRU
+window, the same memory discipline as
 :class:`~repro.workloads.EventTrace`.
 
 The footer makes corruption *detectable* instead of latent: a bit-flip
 or truncation anywhere in the file raises :class:`TraceIntegrityError`
 on load (the harness quarantines the file and regenerates) rather than
-decoding to wrong instruction streams. Version-2 files — written before
-the footer existed — are still readable, unverified, for backward
-compatibility; version-1 files (no seed, no byte-length index) are not.
+decoding to wrong instruction streams. A block that fails to inflate, or
+inflates to the wrong length, raises it too.
 
-Varints keep typical instructions to 2-4 bytes (~8x smaller than pickled
-objects) and the format has no Python-specific dependencies.
+Older files stay readable. Version 3 (the same header, index without the
+weight, and a per-instruction varint stream encoding) is verified
+against its footer; version 2 (version 3 without the footer) loads
+unverified; version 1 (no seed, no byte-length index) is not readable.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import sys
 import zlib
+from array import array
 from collections import OrderedDict
+from itertools import accumulate, chain
+from operator import or_, sub
 from pathlib import Path
 from typing import BinaryIO
 
-from repro.isa.instructions import Instruction, is_branch_kind, \
-    is_memory_kind
+from repro.isa.instructions import BLOCK_SHIFT, Instruction, \
+    is_branch_kind, is_memory_kind
+from repro.isa.stream import PackedStream
 
 MAGIC = b"ESPT"
-VERSION = 3
+VERSION = 4
 
 FOOTER_MAGIC = b"ESPF"
 _FOOTER_LEN = len(FOOTER_MAGIC) + 4
 
 
 class TraceIntegrityError(ValueError):
-    """A trace file failed its CRC32 footer verification."""
+    """A trace file failed verification: its CRC32 footer, or a stream
+    block that does not inflate to its columns."""
 
 _TAKEN_FLAG = 0x10
+
+#: decompressed bytes per instruction in a v4 block: a flags byte and
+#: three int64 columns
+_INSTR_BYTES = 1 + 3 * 8
+_KIND_OF_FLAGS = bytes(flags & 0x0F for flags in range(256))
+_TAKEN_OF_FLAGS = bytes(flags >> 4 & 1 for flags in range(256))
+_BOOLS = (False, True)
+#: the columns are little-endian on disk
+_SWAP_BYTES = sys.byteorder == "big"
 
 
 def _write_varint(out: BinaryIO, value: int) -> None:
@@ -91,31 +119,51 @@ def _read_varint(data: BinaryIO) -> int:
         shift += 7
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= 0 else \
-        ((-value) << 1) - 1
+def _encode_block(packed: PackedStream) -> bytes:
+    """One stream as a v4 columnar block (see the module docstring)."""
+    flags = bytes(map(or_, packed.kind,
+                      map(_TAKEN_FLAG.__mul__, packed.taken)))
+    pcs = packed.pc
+    columns = array("q", map(sub, pcs, chain((0,), pcs)))
+    columns.extend(packed.addr)
+    columns.extend(packed.target)
+    if _SWAP_BYTES:
+        columns.byteswap()
+    return zlib.compress(flags + columns.tobytes(), 1)
+
+
+def _decode_block(block, count: int) -> PackedStream:
+    """Inverse of :func:`_encode_block` for a stream of ``count``
+    instructions, straight into packed form."""
+    try:
+        raw = zlib.decompress(block)
+    except zlib.error as exc:
+        raise TraceIntegrityError(f"corrupt stream block: {exc}") from None
+    if len(raw) != _INSTR_BYTES * count:
+        raise TraceIntegrityError(
+            f"stream block holds {len(raw)} bytes, expected "
+            f"{_INSTR_BYTES * count} for {count} instructions")
+    flags = raw[:count]
+    columns = array("q")
+    columns.frombytes(memoryview(raw)[count:])
+    if _SWAP_BYTES:
+        columns.byteswap()
+    pc = tuple(accumulate(columns[:count]))
+    return PackedStream(
+        pc,
+        tuple(flags.translate(_KIND_OF_FLAGS)),
+        tuple(columns[count:2 * count]),
+        tuple(map(_BOOLS.__getitem__, flags.translate(_TAKEN_OF_FLAGS))),
+        tuple(columns[2 * count:]),
+        tuple(map(BLOCK_SHIFT.__rrshift__, pc)))
 
 
 def _unzigzag(value: int) -> int:
     return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
-def _write_stream(out: BinaryIO, stream: list[Instruction]) -> None:
-    last_pc = 0
-    for inst in stream:
-        flags = inst.kind | (_TAKEN_FLAG if inst.taken else 0)
-        out.write(bytes((flags,)))
-        _write_varint(out, _zigzag(inst.pc - last_pc))
-        last_pc = inst.pc
-        if is_memory_kind(inst.kind):
-            _write_varint(out, inst.addr)
-        elif is_branch_kind(inst.kind):
-            # not-taken conditionals still carry their (fall-through)
-            # target in generated streams; preserve it exactly
-            _write_varint(out, inst.target)
-
-
 def _read_stream(data: BinaryIO, count: int) -> list[Instruction]:
+    """Decode one version-2/3 varint stream."""
     stream: list[Instruction] = []
     last_pc = 0
     for _ in range(count):
@@ -140,8 +188,8 @@ def _read_stream(data: BinaryIO, count: int) -> list[Instruction]:
 
 def dump_trace(trace, path: Path | str) -> int:
     """Serialise every event of ``trace`` (an
-    :class:`~repro.workloads.EventTrace`) to ``path``. Returns bytes
-    written.
+    :class:`~repro.workloads.EventTrace`, or a :class:`LoadedTrace`) to
+    ``path``. Returns bytes written.
 
     The file is written to a temporary sibling and moved into place, so
     concurrent writers of the same path (parallel experiment workers that
@@ -159,23 +207,23 @@ def dump_trace(trace, path: Path | str) -> int:
     _write_varint(buffer, len(trace))
     for index in range(len(trace)):
         event = trace.event(index)
+        packed_true = event.packed_true()
+        true_block = _encode_block(packed_true)
+        spec_block = b""
+        spec_count = 0
+        if event.diverged:
+            packed_spec = event.packed_spec()
+            spec_block = _encode_block(packed_spec)
+            spec_count = len(packed_spec)
         _write_varint(buffer, event.handler_fid)
         buffer.write(b"\x01" if event.diverged else b"\x00")
-        _write_varint(buffer, len(event.true_stream))
-        _write_varint(buffer, len(event.spec_stream)
-                      if event.diverged else 0)
-        true_bytes = io.BytesIO()
-        _write_stream(true_bytes, event.true_stream)
-        true_payload = true_bytes.getvalue()
-        spec_payload = b""
-        if event.diverged:
-            spec_bytes = io.BytesIO()
-            _write_stream(spec_bytes, event.spec_stream)
-            spec_payload = spec_bytes.getvalue()
-        _write_varint(buffer, len(true_payload))
-        _write_varint(buffer, len(spec_payload))
-        buffer.write(true_payload)
-        buffer.write(spec_payload)
+        _write_varint(buffer, len(packed_true))
+        _write_varint(buffer, spec_count)
+        _write_varint(buffer, trace.event_weight(index))
+        _write_varint(buffer, len(true_block))
+        _write_varint(buffer, len(spec_block))
+        buffer.write(true_block)
+        buffer.write(spec_block)
     payload = buffer.getvalue()
     payload += FOOTER_MAGIC + zlib.crc32(payload).to_bytes(4, "little")
     path = Path(path)
@@ -188,16 +236,17 @@ def dump_trace(trace, path: Path | str) -> int:
 class _EventIndex:
     """Byte-offset record for one serialised event."""
 
-    __slots__ = ("handler_fid", "true_count", "spec_count",
+    __slots__ = ("handler_fid", "true_count", "spec_count", "weight",
                  "true_offset", "true_length", "spec_offset",
                  "spec_length")
 
     def __init__(self, handler_fid: int, true_count: int, spec_count: int,
-                 true_offset: int, true_length: int, spec_offset: int,
-                 spec_length: int) -> None:
+                 weight: int, true_offset: int, true_length: int,
+                 spec_offset: int, spec_length: int) -> None:
         self.handler_fid = handler_fid
         self.true_count = true_count
         self.spec_count = spec_count
+        self.weight = weight
         self.true_offset = true_offset
         self.true_length = true_length
         self.spec_offset = spec_offset
@@ -207,7 +256,7 @@ class _EventIndex:
 class LoadedTrace:
     """A deserialised trace, API-compatible with the simulator's needs
     (``event(k)``, ``looper_stream(k)``, ``packed_looper_stream(k)``,
-    ``handler_fid(k)``, ``__len__``).
+    ``handler_fid(k)``, ``event_weight(k)``, ``__len__``).
 
     Events decode lazily from the raw file bytes into a small LRU window
     — the full object form of a large app would be ~20x the size of the
@@ -218,12 +267,14 @@ class LoadedTrace:
     _CACHE_CAPACITY = 8
 
     def __init__(self, app_name: str, seed: int, data: bytes,
-                 index: list[_EventIndex], profile=None) -> None:
+                 index: list[_EventIndex], profile=None,
+                 version: int = VERSION) -> None:
         from repro.workloads import get_app
         from repro.workloads.generator import EventTrace
 
         self.app_name = app_name
         self.seed = seed
+        self.version = version
         self._data = data
         self._index = index
         # regenerate the (tiny, deterministic) looper streams and image
@@ -255,17 +306,18 @@ class LoadedTrace:
         from repro.workloads.generator import Event
 
         rec = self._index[index]
-        true_stream = _read_stream(
-            io.BytesIO(self._data[rec.true_offset:
-                                  rec.true_offset + rec.true_length]),
-            rec.true_count)
-        if rec.spec_count:
-            spec_stream = _read_stream(
-                io.BytesIO(self._data[rec.spec_offset:
-                                      rec.spec_offset + rec.spec_length]),
-                rec.spec_count)
-        else:
-            spec_stream = true_stream
+        data = memoryview(self._data)
+        true_bytes = data[rec.true_offset:rec.true_offset + rec.true_length]
+        spec_bytes = data[rec.spec_offset:rec.spec_offset + rec.spec_length]
+        if self.version >= 4:
+            packed_true = _decode_block(true_bytes, rec.true_count)
+            packed_spec = _decode_block(spec_bytes, rec.spec_count) \
+                if rec.spec_count else packed_true
+            return Event.from_packed(index, rec.handler_fid, packed_true,
+                                     packed_spec)
+        true_stream = _read_stream(io.BytesIO(true_bytes), rec.true_count)
+        spec_stream = _read_stream(io.BytesIO(spec_bytes), rec.spec_count) \
+            if rec.spec_count else true_stream
         return Event(index, rec.handler_fid, (), true_stream, spec_stream,
                      frozenset())
 
@@ -273,10 +325,14 @@ class LoadedTrace:
         return self._index[index].handler_fid
 
     def event_weight(self, index: int) -> int:
-        """Recorded true-stream instruction count of event ``index`` (no
-        materialisation) — the extrapolation covariate used by
-        :mod:`repro.sim.sampling`."""
-        return self._index[index].true_count
+        """The extrapolation covariate used by :mod:`repro.sim.sampling`,
+        without materialisation: the recorded trace's planned instruction
+        count (:meth:`EventTrace.event_weight
+        <repro.workloads.EventTrace.event_weight>`), so a sampled run
+        gives the same result on a trace and on its recording. Version-2
+        and -3 files did not record it; for them this is the recorded
+        true-stream instruction count instead."""
+        return self._index[index].weight
 
     def looper_stream(self, index: int):
         from repro.isa.instructions import INSTR_BYTES, KIND_IBRANCH
@@ -294,8 +350,6 @@ class LoadedTrace:
         handler = self._index[index].handler_fid
         packed = self._packed_loopers.get(handler)
         if packed is None:
-            from repro.isa.stream import PackedStream
-
             packed = PackedStream.from_instructions(
                 self.looper_stream(index))
             self._packed_loopers[handler] = packed
@@ -310,16 +364,16 @@ def load_trace(path: Path | str, profile=None) -> LoadedTrace:
     :class:`~repro.workloads.AppProfile` when the trace's app name is not
     one of the built-in registry entries.
 
-    Version-3 files verify their CRC32 footer before any decoding —
-    truncation or bit-flips raise :class:`TraceIntegrityError`. Version-2
-    files (pre-footer) still load, unverified.
+    Version-4 and -3 files verify their CRC32 footer before any decoding
+    — truncation or bit-flips raise :class:`TraceIntegrityError`.
+    Version-2 files (pre-footer) still load, unverified.
     """
     payload = Path(path).read_bytes()
     data = io.BytesIO(payload)
     if data.read(4) != MAGIC:
         raise ValueError("not an ESP trace file")
     version = _read_varint(data)
-    if version == VERSION:
+    if version in (3, 4):
         if len(payload) < data.tell() + _FOOTER_LEN:
             raise TraceIntegrityError("trace footer missing (truncated?)")
         if payload[-_FOOTER_LEN:-4] != FOOTER_MAGIC:
@@ -348,6 +402,7 @@ def load_trace(path: Path | str, profile=None) -> LoadedTrace:
         diverged = flag == b"\x01"
         true_count = _read_varint(data)
         spec_count = _read_varint(data)
+        weight = _read_varint(data) if version >= 4 else true_count
         true_length = _read_varint(data)
         spec_length = _read_varint(data)
         true_offset = data.tell()
@@ -357,8 +412,9 @@ def load_trace(path: Path | str, profile=None) -> LoadedTrace:
             raise EOFError("truncated stream data")
         if diverged != bool(spec_count):
             raise ValueError("inconsistent divergence flag")
-        index.append(_EventIndex(handler, true_count, spec_count,
+        index.append(_EventIndex(handler, true_count, spec_count, weight,
                                  true_offset, true_length, spec_offset,
                                  spec_length))
         data.seek(end)
-    return LoadedTrace(name, seed, payload, index, profile=profile)
+    return LoadedTrace(name, seed, payload, index, profile=profile,
+                       version=version)

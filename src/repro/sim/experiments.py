@@ -604,10 +604,11 @@ class ExperimentRunner:
 
         With the disk cache enabled, traces are recorded once per
         (app, scale, seed) in :mod:`repro.isa.tracefile` format and
-        deserialised afterwards — generation costs one full CFG walk per
-        event, decoding costs a fraction of that, and parallel workers
-        share the recording. Corrupt (CRC-footer mismatch, truncation) or
-        stale-version files are quarantined and regenerated.
+        deserialised afterwards, by the recording run itself too —
+        generation costs one full CFG walk per event, decoding costs a
+        fraction of that, so each event is built once, and parallel
+        workers share the recording. Corrupt files (CRC-footer mismatch,
+        truncation) are quarantined and regenerated.
         """
         cached = self._traces.get(app)
         if cached is not None:
@@ -653,6 +654,14 @@ class ExperimentRunner:
                         # out of the memory cache so the next lookup
                         # exercises detect + quarantine + regenerate
                         return trace
+                    # simulate from the recording: recording built every
+                    # event once, and decoding one back is far cheaper
+                    # than building it again once the generator's event
+                    # window has moved on
+                    try:
+                        trace = load_trace(path, profile=get_app(app))
+                    except (ValueError, EOFError, OSError):
+                        pass  # keep the generator's trace
         self._traces[app] = trace
         return trace
 

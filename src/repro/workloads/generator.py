@@ -72,11 +72,23 @@ def _state_branch_outcome(value: int, site_pc: int) -> bool:
 
 
 class Event:
-    """One asynchronous event: its true and speculative streams."""
+    """One asynchronous event: its true and speculative streams.
 
-    __slots__ = ("index", "handler_fid", "writes", "true_stream",
-                 "spec_stream", "state_reads", "_packed_true",
-                 "_packed_spec")
+    Each stream exists in up to two forms: the object form
+    (``list[Instruction]``, walked by the object kernel — the readable
+    reference model and runahead) and the packed form
+    (:class:`~repro.isa.stream.PackedStream`, walked by the packed kernel
+    and ESP pre-execution). A generated event starts from the object form
+    and packs on first use; an event loaded from a trace file starts from
+    the packed form (:meth:`from_packed`) and unpacks on first use of
+    :attr:`true_stream` / :attr:`spec_stream`. Either way each form is
+    built at most once and cached for the event's lifetime, so every
+    configuration simulated against the trace shares it.
+    """
+
+    __slots__ = ("index", "handler_fid", "writes", "state_reads",
+                 "diverged", "_true_stream", "_spec_stream",
+                 "_packed_true", "_packed_spec")
 
     def __init__(self, index: int, handler_fid: int, writes: tuple[int, ...],
                  true_stream: list[Instruction],
@@ -85,45 +97,77 @@ class Event:
         self.index = index
         self.handler_fid = handler_fid
         self.writes = writes
-        self.true_stream = true_stream
-        self.spec_stream = spec_stream
         self.state_reads = state_reads
+        #: True if speculative pre-execution deviates from the true run
+        #: (the spec stream is then a separate object, else the same one)
+        self.diverged = spec_stream is not true_stream
+        self._true_stream = true_stream
+        self._spec_stream = spec_stream
         self._packed_true = None
         self._packed_spec = None
 
+    @classmethod
+    def from_packed(cls, index: int, handler_fid: int,
+                    packed_true: "PackedStream",
+                    packed_spec: "PackedStream") -> "Event":
+        """An event held in packed form only. Pass ``packed_spec`` as
+        ``packed_true`` itself when speculation does not diverge."""
+        event = cls(index, handler_fid, (), None, None, frozenset())
+        event.diverged = packed_spec is not packed_true
+        event._packed_true = packed_true
+        event._packed_spec = packed_spec
+        return event
+
+    @property
+    def true_stream(self) -> list[Instruction]:
+        """The instructions the event executes when it finally runs."""
+        stream = self._true_stream
+        if stream is None:
+            stream = self._true_stream = \
+                self._packed_true.to_instructions()
+        return stream
+
+    @property
+    def spec_stream(self) -> list[Instruction]:
+        """The instructions a speculative pre-execution observes: the
+        :attr:`true_stream` object itself unless it diverged."""
+        stream = self._spec_stream
+        if stream is None:
+            if self.diverged:
+                stream = self._packed_spec.to_instructions()
+            else:
+                stream = self.true_stream
+            self._spec_stream = stream
+        return stream
+
     def packed_true(self) -> "PackedStream":
-        """The true stream's struct-of-arrays packing, built lazily and
-        cached for the event's lifetime so every configuration simulated
-        against this trace shares it."""
+        """The true stream's struct-of-arrays packing."""
         packed = self._packed_true
-        if packed is None or len(packed) != len(self.true_stream):
+        if packed is None:
             from repro.isa.stream import PackedStream
 
-            packed = PackedStream.from_instructions(self.true_stream)
-            self._packed_true = packed
+            packed = self._packed_true = \
+                PackedStream.from_instructions(self._true_stream)
         return packed
 
     def packed_spec(self) -> "PackedStream":
         """The speculative stream's packing (what ESP pre-execution
         consumes). Shares :meth:`packed_true`'s packing for the >99 % of
         events whose speculation does not diverge."""
-        if self.spec_stream is self.true_stream:
+        if not self.diverged:
             return self.packed_true()
         packed = self._packed_spec
-        if packed is None or len(packed) != len(self.spec_stream):
+        if packed is None:
             from repro.isa.stream import PackedStream
 
-            packed = PackedStream.from_instructions(self.spec_stream)
-            self._packed_spec = packed
+            packed = self._packed_spec = \
+                PackedStream.from_instructions(self._spec_stream)
         return packed
 
-    @property
-    def diverged(self) -> bool:
-        """True if speculative pre-execution deviates from the true run."""
-        return self.spec_stream is not self.true_stream
-
     def __len__(self) -> int:
-        return len(self.true_stream)
+        packed = self._packed_true
+        return len(packed) if packed is not None \
+            else len(self._true_stream)
 
 
 class _Walker:

@@ -103,7 +103,7 @@ class TestCorruptionStorms:
         """Everything at once, over worker processes; a second parallel
         pass over the battered cache is bit-identical too."""
         _arm(monkeypatch,
-             "corrupt_trace:0.4,torn_write:0.4,kill_worker:0.3,seed:3")
+             "corrupt_trace:0.4,torn_write:0.4,kill_worker:0.3,seed:4")
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
                                  jobs=2, backend="process",
                                  task_timeout=120.0,

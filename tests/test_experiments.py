@@ -297,30 +297,70 @@ class TestStaleTmpSweep:
 class TestTraceCache:
     def test_trace_recorded_and_reloaded(self, tmp_path):
         from repro.isa.tracefile import LoadedTrace
+        from repro.workloads import EventTrace, get_app
 
         first = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
-        generated = first.trace("pixlr")
+        recorded = first.trace("pixlr")
         files = list((tmp_path / "traces").glob("pixlr-*.espt"))
         assert len(files) == 1
+        # the recording run simulates from its own recording too
+        assert isinstance(recorded, LoadedTrace)
         second = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
         loaded = second.trace("pixlr")
         assert isinstance(loaded, LoadedTrace)
+        generated = EventTrace(get_app("pixlr"), scale=0.25, seed=0)
         assert len(loaded) == len(generated)
         for k in range(len(loaded)):
             assert (loaded.event(k).true_stream
                     == generated.event(k).true_stream)
+            assert (loaded.event(k).packed_spec()
+                    == generated.event(k).packed_spec())
 
     def test_loaded_trace_results_identical(self, tmp_path):
+        from repro.isa.tracefile import LoadedTrace
+        from repro.sim.simulator import Simulator
+        from repro.workloads import EventTrace, get_app
+
+        config = presets.esp_nl()
         first = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
-        a = first.run("pixlr", presets.esp_nl())  # generated trace
+        a = first.run("pixlr", config)  # records the trace
         for path in tmp_path.glob("*.json"):
             path.unlink()  # drop results, keep the recorded trace
-        from repro.isa.tracefile import LoadedTrace
-
         fresh = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
         assert isinstance(fresh.trace("pixlr"), LoadedTrace)
-        b = fresh.run("pixlr", presets.esp_nl())
-        assert a.to_dict() == b.to_dict()
+        b = fresh.run("pixlr", config)
+        reference = Simulator(
+            EventTrace(get_app("pixlr"), scale=0.25, seed=0), config,
+            kernel="object").run()
+        reference.config = config.name
+        assert a.to_dict() == reference.to_dict()
+        assert b.to_dict() == reference.to_dict()
+
+    def test_cold_run_builds_each_event_once(self, tmp_path, monkeypatch):
+        from repro.workloads.generator import EventTrace
+
+        built = []
+        materialize = EventTrace._materialize
+
+        def counting(self, index):
+            built.append(index)
+            return materialize(self, index)
+
+        monkeypatch.setattr(EventTrace, "_materialize", counting)
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+        runner.run("pixlr", presets.baseline())
+        assert sorted(built) == list(range(len(runner.trace("pixlr"))))
+
+    def test_unwritable_cache_simulates_the_generated_trace(self, tmp_path,
+                                                            monkeypatch):
+        from repro.workloads.generator import EventTrace
+
+        def refuse(trace, path):
+            raise OSError("read-only cache")
+
+        monkeypatch.setattr(experiments_mod, "dump_trace", refuse)
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+        assert isinstance(runner.trace("pixlr"), EventTrace)
 
     def test_corrupt_trace_file_regenerates(self, tmp_path):
         first = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)

@@ -391,3 +391,27 @@ class TestSamplingConfigValidation:
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SamplingConfig(**kwargs)
+
+
+class TestTraceSourceIndependence:
+    def test_recording_gives_the_generated_trace_result(self, tiny_app,
+                                                        tmp_path):
+        """Extrapolation scales by ``event_weight``: a recording must
+        carry the generator's planned weights, not the recorded stream
+        lengths, or a sampled result depends on where its trace came
+        from."""
+        from repro.isa.tracefile import dump_trace, load_trace
+        from repro.workloads import EventTrace
+
+        knobs = SamplingConfig(min_detailed=2, window=2, cv_threshold=10.0)
+        trace = EventTrace(tiny_app)
+        path = tmp_path / "trace.espt"
+        dump_trace(trace, path)
+        loaded = load_trace(path, profile=tiny_app)
+        generated = Simulator(trace, presets.baseline(), fidelity="sampled",
+                              sampling=knobs).run()
+        clear_model_store()
+        recorded = Simulator(loaded, presets.baseline(), fidelity="sampled",
+                             sampling=knobs).run()
+        assert generated.sampled_events > 0
+        assert recorded.to_dict() == generated.to_dict()

@@ -446,7 +446,7 @@ class TestSharedNothingFleet:
         fallback) and the campaign still lands bit-identical — never a
         committed result built from damaged bytes."""
         previous = faults.set_fault_plan(faults.FaultPlan(
-            {"corrupt_chunk": 0.4, "truncated_fetch": 0.4}, seed=5))
+            {"corrupt_chunk": 0.4, "truncated_fetch": 0.4}, seed=4))
         try:
             serial = ExperimentRunner(cache_dir=tmp_path / "serial",
                                       scale=0.1, seed=0,

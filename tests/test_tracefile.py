@@ -1,22 +1,32 @@
 """Tests for binary trace serialisation."""
 
+import dataclasses
 import io
+import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.isa import KIND_ALU, KIND_BRANCH, KIND_LOAD, Instruction
+from repro.isa import tracefile
+from repro.isa.stream import PackedStream
 from repro.isa.tracefile import (
     _FOOTER_LEN,
     FOOTER_MAGIC,
     TraceIntegrityError,
+    _decode_block,
+    _encode_block,
     _read_varint,
     _unzigzag,
     _write_varint,
-    _zigzag,
     dump_trace,
     load_trace,
 )
 from repro.workloads import EventTrace
+
+#: ``EventTrace(tiny_app)`` (seed 0) recorded by the version-3 writer,
+#: kept to pin that legacy files stay readable
+V3_FIXTURE = Path(__file__).parent / "data" / "tiny-v3.espt"
 
 
 class TestVarints:
@@ -38,7 +48,9 @@ class TestVarints:
 
     @pytest.mark.parametrize("value", [0, 1, -1, 4, -4, 10 ** 9, -10 ** 9])
     def test_zigzag_roundtrip(self, value):
-        assert _unzigzag(_zigzag(value)) == value
+        # the version-3 writer mapped 0, -1, 1, -2, ... to 0, 1, 2, 3, ...
+        encoded = 2 * value if value >= 0 else -2 * value - 1
+        assert _unzigzag(encoded) == value
 
     def test_small_values_one_byte(self):
         buffer = io.BytesIO()
@@ -61,11 +73,40 @@ class TestTraceRoundtrip:
             restored = loaded.event(k)
             assert restored.true_stream == original.true_stream
             assert restored.handler_fid == original.handler_fid
+            assert loaded.event_weight(k) == trace.event_weight(k)
             assert restored.diverged == original.diverged
             if original.diverged:
                 assert restored.spec_stream == original.spec_stream
             else:
                 assert restored.spec_stream is restored.true_stream
+        # the recorded weight is the planned one, not the stream length
+        assert any(trace.event_weight(k) != len(trace.event(k))
+                   for k in range(len(trace)))
+
+    def test_diverged_events_roundtrip_packed_first(self, tiny_app,
+                                                    tmp_path):
+        app = dataclasses.replace(tiny_app, state_write_rate=0.5)
+        trace = EventTrace(app)
+        path = tmp_path / "trace.espt"
+        dump_trace(trace, path)
+        loaded = load_trace(path, profile=app)
+        diverged = [k for k in range(len(trace)) if trace.event(k).diverged]
+        assert diverged  # the profile must exercise the spec block
+        for k in range(len(trace)):
+            original = trace.event(k)
+            restored = loaded.event(k)
+            assert restored.diverged == original.diverged
+            # decoded straight to packed form; no object stream yet
+            assert restored._true_stream is None
+            assert restored.packed_true() == original.packed_true()
+            assert restored.packed_spec() == original.packed_spec()
+            assert (restored.packed_spec() is restored.packed_true()) \
+                == (not original.diverged)
+            assert restored.spec_stream == original.spec_stream
+            assert restored.true_stream == original.true_stream
+            assert (restored.spec_stream is restored.true_stream) \
+                == (not original.diverged)
+            assert len(restored) == len(original)
 
     def test_looper_streams_regenerate(self, tiny_app, tmp_path):
         trace = EventTrace(tiny_app)
@@ -145,16 +186,66 @@ class TestTraceIntegrity:
 
     def test_v2_file_without_footer_still_loads(self, tiny_app, recorded,
                                                 tmp_path):
-        """Pre-footer (version 2) files are readable, unverified."""
-        trace, _, payload = recorded
-        legacy = bytearray(payload[:-_FOOTER_LEN])
+        """Pre-footer (version 2) files are readable, unverified: version
+        2 is the version-3 fixture without its footer."""
+        trace, _, _ = recorded
+        legacy = bytearray(V3_FIXTURE.read_bytes()[:-_FOOTER_LEN])
         assert legacy[4] == 3  # version varint right after the magic
         legacy[4] = 2
         path = tmp_path / "legacy.espt"
         path.write_bytes(bytes(legacy))
         loaded = load_trace(path, profile=tiny_app)
+        assert loaded.version == 2
         assert len(loaded) == len(trace)
-        assert loaded.event(0).true_stream == trace.event(0).true_stream
+        for k in range(len(trace)):
+            assert loaded.event(k).true_stream == trace.event(k).true_stream
+
+    def test_v3_fixture_loads_identical_streams(self, tiny_app):
+        """A file from the version-3 (varint) writer decodes to the same
+        streams, in object and packed form, as a fresh generation."""
+        loaded = load_trace(V3_FIXTURE, profile=tiny_app)
+        trace = EventTrace(tiny_app)
+        assert loaded.version == 3
+        assert len(loaded) == len(trace)
+        for k in range(len(trace)):
+            original = trace.event(k)
+            restored = loaded.event(k)
+            assert restored.handler_fid == original.handler_fid
+            assert restored.diverged == original.diverged
+            assert restored.true_stream == original.true_stream
+            assert restored.spec_stream == original.spec_stream
+            assert restored.packed_true() == original.packed_true()
+            assert restored.packed_spec() == original.packed_spec()
+            # version 3 did not record the planned weight
+            assert loaded.event_weight(k) == len(original.true_stream)
+
+    @pytest.mark.parametrize("block", ["not_zlib", "wrong_length"])
+    def test_corrupt_block_under_valid_crc_raises(self, tiny_app, recorded,
+                                                  tmp_path, monkeypatch,
+                                                  block):
+        """A block that passes the CRC (a writer fault, not a flip on
+        disk) but does not inflate to ``25 × count`` bytes raises
+        :class:`TraceIntegrityError` — a ``ValueError``, which the
+        runner's quarantine paths catch — never ``zlib.error``."""
+        _, good, payload = recorded
+        path = tmp_path / "corrupt.espt"
+        if block == "not_zlib":
+            # overwrite the first event's true block in place and
+            # recompute the CRC
+            rec = load_trace(good, profile=tiny_app)._index[0]
+            corrupt = bytearray(payload[:-_FOOTER_LEN])
+            corrupt[rec.true_offset:rec.true_offset + rec.true_length] = \
+                b"\xff" * rec.true_length
+            corrupt += FOOTER_MAGIC + zlib.crc32(corrupt).to_bytes(
+                4, "little")
+            path.write_bytes(bytes(corrupt))
+        else:
+            monkeypatch.setattr(tracefile, "_encode_block",
+                                lambda packed: zlib.compress(b"\0" * 25))
+            dump_trace(EventTrace(tiny_app), path)
+        loaded = load_trace(path, profile=tiny_app)  # the CRC holds
+        with pytest.raises(TraceIntegrityError):
+            loaded.event(0)
 
     @pytest.mark.parametrize("region", ["header", "varint_index", "stream",
                                         "footer"])
@@ -206,16 +297,36 @@ class TestTraceIntegrity:
 
 
 class TestStreamEncoding:
-    def test_mixed_kinds(self, tmp_path):
-        from repro.isa.tracefile import _read_stream, _write_stream
+    STREAM = [
+        Instruction(0x1000, KIND_ALU),
+        Instruction(0x1004, KIND_LOAD, addr=0x9000_0008),
+        Instruction(0x1008, KIND_BRANCH, taken=True, target=0x0800),
+        Instruction(0x0800, KIND_BRANCH, taken=False),
+    ]
 
-        stream = [
-            Instruction(0x1000, KIND_ALU),
-            Instruction(0x1004, KIND_LOAD, addr=0x9000_0008),
-            Instruction(0x1008, KIND_BRANCH, taken=True, target=0x0800),
-            Instruction(0x0800, KIND_BRANCH, taken=False),
-        ]
-        buffer = io.BytesIO()
-        _write_stream(buffer, stream)
-        buffer.seek(0)
-        assert _read_stream(buffer, len(stream)) == stream
+    def test_mixed_kinds(self):
+        packed = PackedStream.from_instructions(self.STREAM)
+        decoded = _decode_block(_encode_block(packed), len(self.STREAM))
+        assert decoded == packed
+        assert decoded.block == packed.block
+        assert all(type(taken) is bool for taken in decoded.taken)
+        assert decoded.to_instructions() == self.STREAM
+
+    def test_block_layout(self):
+        """Flag bytes, then little-endian int64 pc deltas, addresses and
+        targets."""
+        n = len(self.STREAM)
+        raw = zlib.decompress(_encode_block(
+            PackedStream.from_instructions(self.STREAM)))
+        assert len(raw) == 25 * n
+        assert raw[:n] == bytes((KIND_ALU, KIND_LOAD, KIND_BRANCH | 0x10,
+                                 KIND_BRANCH))
+
+        def column(i):
+            start = n + 8 * n * i
+            return [int.from_bytes(raw[at:at + 8], "little", signed=True)
+                    for at in range(start, start + 8 * n, 8)]
+
+        assert column(0) == [0x1000, 4, 4, 0x0800 - 0x1008]
+        assert column(1) == [0, 0x9000_0008, 0, 0]
+        assert column(2) == [0, 0, 0x0800, 0]
