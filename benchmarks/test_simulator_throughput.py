@@ -24,7 +24,8 @@ and the ``jobs_auto`` grid row, whose decision the ``auto`` backend row
 covers; v9 adds the ``trace_codec`` row: the cold cost of recording a
 pixlr scale-4 trace to ``.espt`` and of decoding it back to packed
 streams, with the file's bytes per instruction, the CPU count and the
-commit).
+commit; v10 adds the row's cold ``build_s_per_event``, the generator's
+build of each event straight into packed form).
 
 Timing discipline: every path is measured best-of-N over *fresh*
 simulators sharing one pre-packed trace.
@@ -48,7 +49,8 @@ from repro.workloads import EventTrace, get_app
 
 _OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: snapshot layout: 9 adds the cold ``trace_codec`` row; 8 drops the
+#: snapshot layout: 10 adds the ``trace_codec`` row's cold
+#: ``build_s_per_event``; 9 adds the cold ``trace_codec`` row; 8 drops the
 #: thread backend row and the ``jobs_auto``
 #: grid fields; 7 dropped the vector kernel's per-path fields (6 added
 #: the ``sampled_fidelity`` row — model-warm ``--fidelity sampled``
@@ -57,17 +59,22 @@ _OUTPUT_DIR = Path(__file__).parent / "output"
 #: shared-nothing ``remote_fetch`` grid row; 4 the remote-backend grid
 #: row; 3 the per-execution-backend grid rows; 2 per-path Minstr/s,
 #: per-row kernel names and the auto-jobs grid row)
-SNAPSHOT_SCHEMA_VERSION = 9
+SNAPSHOT_SCHEMA_VERSION = 10
 
 
 def _prewarmed_trace(scale: float = 1.0) -> EventTrace:
-    """A trace with every event materialised and packed up front, so the
-    benchmark isolates the simulator loop from stream generation."""
+    """A trace with every event materialised in both forms up front (the
+    packed streams the generator emits, and the object streams unpacked
+    from them), so the benchmark isolates the simulator loops from
+    stream generation and unpacking."""
     trace = EventTrace(get_app("pixlr"), scale=scale)
     trace._cache_capacity = len(trace) + 4  # defeat the event LRU
     for k in range(len(trace)):
-        trace.event(k).packed_true()
-        trace.event(k).packed_spec()
+        event = trace.event(k)
+        event.packed_true()
+        event.packed_spec()
+        event.true_stream
+        event.spec_stream
         trace.packed_looper_stream(k)
     return trace
 
@@ -143,15 +150,17 @@ def _commit() -> str:
 
 
 def _trace_codec_row(directory: Path) -> dict:
-    """Cold ``.espt`` costs at the ROADMAP's cold size: recording every
-    event of a freshly built trace (the events are built before the clock
-    starts, so this is packing plus encoding), and decoding each event
-    back to the packed streams the fast path walks, from an empty event
-    window."""
+    """Cold trace costs at the ROADMAP's cold size: the generator's build
+    of every event of a fresh trace, straight into packed form; recording
+    the built events to ``.espt`` (encoding only: the columns already
+    exist); and decoding each event back to the packed streams the fast
+    path walks, from an empty event window."""
     scale = 4.0
     trace = EventTrace(get_app("pixlr"), scale=scale, seed=0)
     trace._cache_capacity = len(trace) + 4  # build each event once
+    start = time.perf_counter()
     instructions = sum(len(trace.event(k)) for k in range(len(trace)))
+    build_s = time.perf_counter() - start
     path = directory / "pixlr.espt"
     start = time.perf_counter()
     size = dump_trace(trace, path)
@@ -170,6 +179,7 @@ def _trace_codec_row(directory: Path) -> dict:
         "commit": _commit(),
         "events": len(trace),
         "instructions": instructions,
+        "build_s_per_event": round(build_s / len(trace), 6),
         "dump_s": round(dump_s, 4),
         "decode_to_packed_s_per_event": round(decode_s / len(loaded), 6),
         "bytes": size,

@@ -8,8 +8,9 @@ CPython than walking ``list[Instruction]`` with attribute lookups, and the
 packed form is built once per event and cached, so every configuration
 simulated against the same trace shares the packing work.
 
-The remaining helpers are analysis utilities used by tests, the
-working-set study (Figure 13), and the workload calibration tools.
+The remaining helpers are analysis utilities over a packed stream's
+columns, used by tests, ``repro inspect`` and the workload calibration
+tools (:mod:`repro.workloads.validation`).
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import Iterable, Sequence
 
 from repro.isa.instructions import (
     BLOCK_SHIFT,
+    KIND_BRANCH,
+    KIND_LOAD,
+    KIND_STORE,
     Instruction,
-    block_of,
     is_branch_kind,
     is_memory_kind,
 )
@@ -47,7 +50,7 @@ class PackedStream:
         self.taken = tuple(taken)
         self.target = tuple(target)
         self.block = tuple(block) if block is not None \
-            else tuple(p >> BLOCK_SHIFT for p in self.pc)
+            else tuple(map(BLOCK_SHIFT.__rrshift__, self.pc))
         n = len(self.pc)
         if not (len(self.kind) == len(self.addr) == len(self.taken)
                 == len(self.target) == len(self.block) == n):
@@ -137,36 +140,28 @@ class StreamStats:
         return len(self.d_blocks) * 64
 
 
-def summarize_stream(stream: Iterable[Instruction]) -> StreamStats:
-    """Compute :class:`StreamStats` over ``stream`` in one pass."""
-    stats = StreamStats()
-    from repro.isa.instructions import KIND_BRANCH, KIND_LOAD, KIND_STORE
-
-    for inst in stream:
-        stats.instructions += 1
-        stats.i_blocks.add(block_of(inst.pc))
-        kind = inst.kind
-        if kind == KIND_LOAD:
-            stats.loads += 1
-            stats.d_blocks.add(block_of(inst.addr))
-        elif kind == KIND_STORE:
-            stats.stores += 1
-            stats.d_blocks.add(block_of(inst.addr))
-        elif is_branch_kind(kind):
-            stats.branches += 1
-            if kind == KIND_BRANCH:
-                stats.conditional_branches += 1
-            if inst.taken:
-                stats.taken_branches += 1
-    return stats
+def summarize_stream(stream: PackedStream) -> StreamStats:
+    """Compute :class:`StreamStats` over ``stream`` from its columns."""
+    kinds = stream.kind
+    return StreamStats(
+        instructions=len(stream),
+        loads=kinds.count(KIND_LOAD),
+        stores=kinds.count(KIND_STORE),
+        branches=sum(map(is_branch_kind, kinds)),
+        conditional_branches=kinds.count(KIND_BRANCH),
+        taken_branches=sum(1 for kind, taken in zip(kinds, stream.taken)
+                           if taken and is_branch_kind(kind)),
+        i_blocks=set(stream.block),
+        d_blocks=_data_blocks(stream))
 
 
-def stream_footprint(stream: Iterable[Instruction]) -> tuple[int, int]:
+def stream_footprint(stream: PackedStream) -> tuple[int, int]:
     """Return ``(i_blocks, d_blocks)`` — distinct block counts of a stream."""
-    i_blocks: set[int] = set()
-    d_blocks: set[int] = set()
-    for inst in stream:
-        i_blocks.add(block_of(inst.pc))
-        if is_memory_kind(inst.kind):
-            d_blocks.add(block_of(inst.addr))
-    return len(i_blocks), len(d_blocks)
+    return len(set(stream.block)), len(_data_blocks(stream))
+
+
+def _data_blocks(stream: PackedStream) -> set[int]:
+    """The distinct data blocks the stream's loads and stores touch."""
+    return {addr >> BLOCK_SHIFT
+            for kind, addr in zip(stream.kind, stream.addr)
+            if is_memory_kind(kind)}

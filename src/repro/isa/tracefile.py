@@ -268,7 +268,7 @@ class LoadedTrace:
 
     def __init__(self, app_name: str, seed: int, data: bytes,
                  index: list[_EventIndex], profile=None,
-                 version: int = VERSION) -> None:
+                 version: int = VERSION, image=None) -> None:
         from repro.workloads import get_app
         from repro.workloads.generator import EventTrace
 
@@ -278,20 +278,22 @@ class LoadedTrace:
         self._data = data
         self._index = index
         # regenerate the (tiny, deterministic) looper streams and image
-        # from the profile and seed; the heavy event streams come from
-        # the file
+        # from the profile and seed, or take the image of the trace that
+        # was recorded; the heavy event streams come from the file
         if profile is None:
             profile = get_app(app_name)
-        self._shadow = EventTrace(profile, scale=0.001, seed=seed)
+        self._shadow = EventTrace(profile, scale=0.001, seed=seed,
+                                  image=image)
         self.profile = self._shadow.profile
         self.image = self._shadow.image
         self._cache: OrderedDict[int, object] = OrderedDict()
-        self._packed_loopers: dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self._index)
 
     def event(self, index: int):
+        if not 0 <= index < len(self._index):
+            raise IndexError(index)
         cached = self._cache.get(index)
         if cached is not None:
             self._cache.move_to_end(index)
@@ -334,35 +336,27 @@ class LoadedTrace:
         true-stream instruction count instead."""
         return self._index[index].weight
 
-    def looper_stream(self, index: int):
-        from repro.isa.instructions import INSTR_BYTES, KIND_IBRANCH
+    def looper_stream(self, index: int) -> list[Instruction]:
+        """:meth:`EventTrace.looper_stream
+        <repro.workloads.EventTrace.looper_stream>` for event ``index``."""
+        return self.packed_looper_stream(index).to_instructions()
 
-        stream = list(self._shadow._build_looper_body())
-        handler = self._index[index].handler_fid
-        entry = self.image.function(handler).entry.addr
-        dispatch_pc = stream[-1].pc + INSTR_BYTES
-        stream.append(Instruction(dispatch_pc, KIND_IBRANCH, taken=True,
-                                  target=entry))
-        return stream
-
-    def packed_looper_stream(self, index: int):
-        """:meth:`looper_stream` in packed form, cached per handler."""
-        handler = self._index[index].handler_fid
-        packed = self._packed_loopers.get(handler)
-        if packed is None:
-            packed = PackedStream.from_instructions(
-                self.looper_stream(index))
-            self._packed_loopers[handler] = packed
-        return packed
+    def packed_looper_stream(self, index: int) -> PackedStream:
+        """:meth:`looper_stream` in packed form, cached per handler (by
+        the shadow trace, which regenerates it)."""
+        return self._shadow.packed_looper_for(
+            self._index[index].handler_fid)
 
 
-def load_trace(path: Path | str, profile=None) -> LoadedTrace:
+def load_trace(path: Path | str, profile=None, image=None) -> LoadedTrace:
     """Deserialise a trace written by :func:`dump_trace`.
 
     Builds the event index in one skip-scan; stream decoding happens
     lazily per event. ``profile`` supplies the
     :class:`~repro.workloads.AppProfile` when the trace's app name is not
-    one of the built-in registry entries.
+    one of the built-in registry entries. ``image`` passes the code image
+    of the :class:`~repro.workloads.EventTrace` that recorded the file, so
+    the loaded trace does not build it again.
 
     Version-4 and -3 files verify their CRC32 footer before any decoding
     — truncation or bit-flips raise :class:`TraceIntegrityError`.
@@ -417,4 +411,4 @@ def load_trace(path: Path | str, profile=None) -> LoadedTrace:
                                  spec_length))
         data.seek(end)
     return LoadedTrace(name, seed, payload, index, profile=profile,
-                       version=version)
+                       version=version, image=image)

@@ -659,7 +659,8 @@ class ExperimentRunner:
                     # than building it again once the generator's event
                     # window has moved on
                     try:
-                        trace = load_trace(path, profile=get_app(app))
+                        trace = load_trace(path, profile=get_app(app),
+                                           image=trace.image)
                     except (ValueError, EOFError, OSError):
                         pass  # keep the generator's trace
         self._traces[app] = trace

@@ -3,19 +3,25 @@
 An :class:`EventTrace` turns an :class:`~repro.workloads.apps.AppProfile`
 into a deterministic sequence of :class:`Event` objects. Each event carries
 
-* ``true_stream`` — the instructions the event executes when it is finally
+* a true stream — the instructions the event executes when it is finally
   dequeued and run in the normal mode, and
-* ``spec_stream`` — the instructions a *speculative pre-execution* of the
-  event observes. Pre-execution happens while up to two earlier events are
-  still in flight, so it reads *stale* shared state: any branch conditioned
-  on a variable written by one of those skipped events resolves differently
-  and the speculative stream diverges from that point on (the paper measures
-  >99 % agreement between the two; the divergence rate here falls out of the
-  profiles' shared-state write rates).
+* a speculative stream — the instructions a *speculative pre-execution* of
+  the event observes. Pre-execution happens while up to two earlier events
+  are still in flight, so it reads *stale* shared state: any branch
+  conditioned on a variable written by one of those skipped events
+  resolves differently and the speculative stream diverges from that point
+  on (the paper measures >99 % agreement between the two; the divergence
+  rate here falls out of the profiles' shared-state write rates).
 
-The walker is an interpreter over the code image's CFG. All randomness
-derives from per-event ``random.Random`` streams, so a trace is a pure
-function of (profile, scale, seed).
+The walker is an interpreter over the code image's CFG. It appends each
+dynamic instruction straight to the columns of a
+:class:`~repro.isa.stream.PackedStream` (pc, kind, addr, taken, target),
+the form the simulator's fast path and ESP pre-execution walk, with no
+object per instruction — the shape of a flat integer trace. The object
+form (``Event.true_stream`` / ``Event.spec_stream``) is unpacked from the
+columns only for the object kernel (the reference model and runahead).
+All randomness derives from per-event ``random.Random`` streams, so a
+trace is a pure function of (profile, scale, seed).
 """
 
 from __future__ import annotations
@@ -37,18 +43,19 @@ from repro.isa.instructions import (
     KIND_STORE,
     Instruction,
 )
+from repro.isa.stream import PackedStream
 from repro.workloads.codebase import (
     TERM_CALL,
     TERM_COND,
     TERM_ICALL,
     TERM_JUMP,
     TERM_RET,
+    BasicBlock,
     CodeImage,
     build_code_image,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.isa.stream import PackedStream
     from repro.workloads.apps import AppProfile
 
 # Data address-space layout (byte addresses).
@@ -74,14 +81,15 @@ def _state_branch_outcome(value: int, site_pc: int) -> bool:
 class Event:
     """One asynchronous event: its true and speculative streams.
 
-    Each stream exists in up to two forms: the object form
-    (``list[Instruction]``, walked by the object kernel — the readable
-    reference model and runahead) and the packed form
+    Each stream exists in up to two forms: the packed form
     (:class:`~repro.isa.stream.PackedStream`, walked by the packed kernel
-    and ESP pre-execution). A generated event starts from the object form
-    and packs on first use; an event loaded from a trace file starts from
-    the packed form (:meth:`from_packed`) and unpacks on first use of
-    :attr:`true_stream` / :attr:`spec_stream`. Either way each form is
+    and ESP pre-execution) and the object form (``list[Instruction]``,
+    walked by the object kernel — the readable reference model and
+    runahead). Generated events and events loaded from a version-4 trace
+    file start from the packed form (:meth:`from_packed`) and unpack on
+    first use of :attr:`true_stream` / :attr:`spec_stream`; an event built
+    from instruction lists (a version-2/3 trace file) packs on first use
+    of :meth:`packed_true` / :meth:`packed_spec`. Either way each form is
     built at most once and cached for the event's lifetime, so every
     configuration simulated against the trace shares it.
     """
@@ -96,7 +104,9 @@ class Event:
                  state_reads: frozenset[int]) -> None:
         self.index = index
         self.handler_fid = handler_fid
+        #: shared-state variables the event writes at completion
         self.writes = writes
+        #: shared-state variables the event's branches read
         self.state_reads = state_reads
         #: True if speculative pre-execution deviates from the true run
         #: (the spec stream is then a separate object, else the same one)
@@ -108,11 +118,12 @@ class Event:
 
     @classmethod
     def from_packed(cls, index: int, handler_fid: int,
-                    packed_true: "PackedStream",
-                    packed_spec: "PackedStream") -> "Event":
+                    packed_true: PackedStream, packed_spec: PackedStream,
+                    writes: tuple[int, ...] = (),
+                    state_reads: frozenset[int] = frozenset()) -> "Event":
         """An event held in packed form only. Pass ``packed_spec`` as
         ``packed_true`` itself when speculation does not diverge."""
-        event = cls(index, handler_fid, (), None, None, frozenset())
+        event = cls(index, handler_fid, writes, None, None, state_reads)
         event.diverged = packed_spec is not packed_true
         event._packed_true = packed_true
         event._packed_spec = packed_spec
@@ -140,17 +151,15 @@ class Event:
             self._spec_stream = stream
         return stream
 
-    def packed_true(self) -> "PackedStream":
+    def packed_true(self) -> PackedStream:
         """The true stream's struct-of-arrays packing."""
         packed = self._packed_true
         if packed is None:
-            from repro.isa.stream import PackedStream
-
             packed = self._packed_true = \
                 PackedStream.from_instructions(self._true_stream)
         return packed
 
-    def packed_spec(self) -> "PackedStream":
+    def packed_spec(self) -> PackedStream:
         """The speculative stream's packing (what ESP pre-execution
         consumes). Shares :meth:`packed_true`'s packing for the >99 % of
         events whose speculation does not diverge."""
@@ -158,8 +167,6 @@ class Event:
             return self.packed_true()
         packed = self._packed_spec
         if packed is None:
-            from repro.isa.stream import PackedStream
-
             packed = self._packed_spec = \
                 PackedStream.from_instructions(self._spec_stream)
         return packed
@@ -170,18 +177,50 @@ class Event:
             else len(self._true_stream)
 
 
-class _Walker:
-    """CFG interpreter producing one event's instruction stream."""
+class _Body:
+    """What the walker emits for one basic block's body, precomputed once
+    per static block: its pc, kind and zero addr/taken/target columns
+    (ALU instructions carry no address), and the body positions of its
+    loads and stores, which draw an address each."""
 
-    def __init__(self, image: CodeImage, profile: "AppProfile",
-                 event_index: int, handler_fid: int, rng: random.Random,
-                 state: dict[int, int]) -> None:
+    __slots__ = ("pcs", "kinds", "zeros", "falses", "memory_slots",
+                 "streaming", "term_pc")
+
+    def __init__(self, block: BasicBlock) -> None:
+        n = len(block.body_kinds)
+        self.term_pc = block.addr + n * INSTR_BYTES
+        self.pcs = tuple(range(block.addr, self.term_pc, INSTR_BYTES))
+        self.kinds = block.body_kinds
+        self.zeros = (0,) * n
+        self.falses = (False,) * n
+        self.memory_slots = tuple(i for i, kind in enumerate(self.kinds)
+                                  if kind != KIND_ALU)
+        self.streaming = block.streaming
+
+
+class _Walker:
+    """CFG interpreter producing one event's instruction stream, straight
+    into the packed columns (one list per
+    :class:`~repro.isa.stream.PackedStream` field, no object per
+    instruction)."""
+
+    def __init__(self, image: CodeImage, bodies: dict[int, list[_Body]],
+                 profile: "AppProfile", event_index: int, handler_fid: int,
+                 rng: random.Random, state: dict[int, int]) -> None:
         self.image = image
+        #: function id -> its lowered block bodies, shared by every walk
+        #: over the image and filled in on first call
+        self.bodies = bodies
         self.profile = profile
         self.rng = rng
         self.state = state
         self.handler_fid = handler_fid
-        self.stream: list[Instruction] = []
+        # the stream's columns
+        self.pcs: list[int] = []
+        self.kinds: list[int] = []
+        self.addrs: list[int] = []
+        self.takens: list[bool] = []
+        self.targets: list[int] = []
         self.state_reads: set[int] = set()
         #: shared-state variables this event writes at completion
         self.writes: tuple[int, ...] = ()
@@ -216,22 +255,34 @@ class _Walker:
 
     # -- data addresses ------------------------------------------------------
 
-    def _data_address(self, depth: int, streaming: bool) -> int:
+    def _body_addresses(self, body: _Body, depth: int) -> list[int]:
+        """The address column of one block body: a data address per load
+        or store, in program order, and 0 per ALU instruction."""
+        addrs = list(body.zeros)
+        if body.streaming:
+            cursor = self.stream_cursor
+            for slot in body.memory_slots:
+                cursor += 8
+                addrs[slot] = cursor
+            self.stream_cursor = cursor
+            return addrs
         rng = self.rng
-        if streaming:
-            self.stream_cursor += 8
-            return self.stream_cursor
-        # temporal locality: most accesses revisit a recently used location
+        draw = rng.random
         recent = self._recent
-        if recent and rng.random() < self._revisit_prob:
-            return recent[int(len(recent) * rng.random())]
-        addr = self._fresh_address(rng, depth)
-        if len(recent) < 48:
-            recent.append(addr)
-        else:
-            self._recent_idx = (self._recent_idx + 1) % 48
-            recent[self._recent_idx] = addr
-        return addr
+        revisit_prob = self._revisit_prob
+        for slot in body.memory_slots:
+            # temporal locality: most accesses revisit a recently used
+            # location
+            if recent and draw() < revisit_prob:
+                addrs[slot] = recent[int(len(recent) * draw())]
+                continue
+            addr = addrs[slot] = self._fresh_address(rng, depth)
+            if len(recent) < 48:
+                recent.append(addr)
+            else:
+                self._recent_idx = (self._recent_idx + 1) % 48
+                recent[self._recent_idx] = addr
+        return addrs
 
     def _fresh_address(self, rng: random.Random, depth: int) -> int:
         draw = rng.random()
@@ -267,7 +318,16 @@ class _Walker:
 
     # -- the walk --------------------------------------------------------------
 
-    def run(self, target_len: int) -> list[Instruction]:
+    def _emit(self, pc: int, kind: int, addr: int = 0, taken: bool = False,
+              target: int = 0) -> None:
+        """Append one instruction to the columns."""
+        self.pcs.append(pc)
+        self.kinds.append(kind)
+        self.addrs.append(addr)
+        self.takens.append(taken)
+        self.targets.append(target)
+
+    def run(self, target_len: int) -> PackedStream:
         """Produce the event's stream.
 
         The handler entry runs once, then acts as a driver loop dispatching
@@ -277,7 +337,8 @@ class _Walker:
         instruction working sets: each dispatch touches a different function
         subtree.
         """
-        stream = self.stream
+        kinds = self.kinds
+        targets = self.targets
         image = self.image
         rng = self.rng
         self._walk_function(self.handler_fid, depth=0, budget=target_len)
@@ -285,8 +346,8 @@ class _Walker:
         dispatch_pc = entry_block.term_pc
         helpers = self._helper_ids
         libs = self._preferred_libs
-        while len(stream) < target_len:
-            before = len(stream)
+        while len(kinds) < target_len:
+            before = len(kinds)
             if helpers and rng.random() < 0.5:
                 fid = helpers[int(len(helpers) * rng.random())]
             else:
@@ -298,62 +359,63 @@ class _Walker:
             # cache)
             repeats = 1 + (rng.random() < 0.35)
             for _ in range(repeats):
-                if len(stream) >= target_len:
+                if len(kinds) >= target_len:
                     break
-                stream.append(Instruction(dispatch_pc, KIND_IBRANCH,
-                                          taken=True, target=entry.addr))
+                self._emit(dispatch_pc, KIND_IBRANCH, taken=True,
+                           target=entry.addr)
                 self._walk_function(fid, depth=1, budget=target_len)
-                if stream and stream[-1].kind == KIND_RETURN \
-                        and stream[-1].target == 0:
-                    stream[-1].target = dispatch_pc + INSTR_BYTES
-            if len(stream) == before:  # safety: nothing emitted
+                if kinds and kinds[-1] == KIND_RETURN \
+                        and targets[-1] == 0:
+                    targets[-1] = dispatch_pc + INSTR_BYTES
+            if len(kinds) == before:  # safety: nothing emitted
                 break
         self._emit_state_writes()
-        return stream
+        return PackedStream(self.pcs, kinds, self.addrs, self.takens,
+                            targets)
 
     def _emit_state_writes(self) -> None:
         looper = self.image.function(self.image.looper_fid)
         pc = looper.base_addr
         for var in self.writes:
-            self.stream.append(Instruction(pc, KIND_STORE,
-                                           addr=SHARED_BASE + var * 64))
+            self._emit(pc, KIND_STORE, addr=SHARED_BASE + var * 64)
 
     def _walk_function(self, fid: int, depth: int, budget: int) -> None:
         """Execute one function invocation (recursion mirrors the stack)."""
         image = self.image
-        profile = self.profile
         rng = self.rng
-        stream = self.stream
-        func = image.function(fid)
-        blocks = func.blocks
+        kinds = self.kinds
+        targets = self.targets
+        emit = self._emit
+        body_addresses = self._body_addresses
+        add_pcs = self.pcs.extend
+        add_kinds = kinds.extend
+        add_addrs = self.addrs.extend
+        add_takens = self.takens.extend
+        add_targets = targets.extend
+        blocks = image.function(fid).blocks
+        bodies = self.bodies.get(fid)
+        if bodies is None:
+            bodies = self.bodies[fid] = [_Body(block) for block in blocks]
         n_blocks = len(blocks)
         loop_counts: dict[int, int] = {}
         bidx = 0
         while bidx < n_blocks:
+            body = bodies[bidx]
+            add_pcs(body.pcs)
+            add_kinds(body.kinds)
+            add_addrs(body_addresses(body, depth))
+            add_takens(body.falses)
+            add_targets(body.zeros)
             block = blocks[bidx]
-            # body instructions
-            pc = block.addr
-            streaming = block.streaming
-            for kind in block.body_kinds:
-                if kind == KIND_ALU:
-                    stream.append(Instruction(pc, KIND_ALU))
-                else:
-                    stream.append(Instruction(
-                        pc, kind, addr=self._data_address(depth, streaming)))
-                pc += INSTR_BYTES
-            term_pc = block.term_pc
+            term_pc = body.term_pc
             term = block.term_kind
-            if len(stream) >= budget:
+            if len(kinds) >= budget:
                 # budget exhausted: unwind (no further instructions emitted)
                 return
             if term == TERM_RET:
-                if depth == 0:
-                    stream.append(Instruction(term_pc, KIND_RETURN,
-                                              taken=True,
-                                              target=QUEUE_BASE))
-                    return
-                stream.append(Instruction(term_pc, KIND_RETURN, taken=True,
-                                          target=0))  # caller fixes target
+                # a callee's return target is fixed up by its caller
+                emit(term_pc, KIND_RETURN, taken=True,
+                     target=QUEUE_BASE if depth == 0 else 0)
                 return
             if term == TERM_COND:
                 if block.state_var >= 0:
@@ -367,19 +429,16 @@ class _Walker:
                     loop_counts[bidx] = 0 if not taken else seen + 1
                 else:
                     taken = rng.random() < block.bias
-                target_block = blocks[block.target if taken
-                                      else block.fall_through]
-                stream.append(Instruction(term_pc, KIND_BRANCH, taken=taken,
-                                          target=target_block.addr))
                 bidx = block.target if taken else block.fall_through
+                emit(term_pc, KIND_BRANCH, taken=taken,
+                     target=blocks[bidx].addr)
                 continue
             if term == TERM_JUMP:
-                target_block = blocks[block.target]
                 if block.target != bidx + 1:
-                    stream.append(Instruction(term_pc, KIND_JUMP, taken=True,
-                                              target=target_block.addr))
+                    emit(term_pc, KIND_JUMP, taken=True,
+                         target=blocks[block.target].addr)
                 else:
-                    stream.append(Instruction(term_pc, KIND_ALU))
+                    emit(term_pc, KIND_ALU)
                 bidx = block.target
                 continue
             if term == TERM_CALL or term == TERM_ICALL:
@@ -393,16 +452,14 @@ class _Walker:
                         int(len(block.candidates) * rng.random() ** 3)]
                     kind = KIND_IBRANCH
                 if depth >= _MAX_CALL_DEPTH:
-                    stream.append(Instruction(term_pc, KIND_ALU))
+                    emit(term_pc, KIND_ALU)
                 else:
-                    entry = image.function(callee).entry
-                    stream.append(Instruction(term_pc, kind, taken=True,
-                                              target=entry.addr))
+                    emit(term_pc, kind, taken=True,
+                         target=image.function(callee).entry.addr)
                     self._walk_function(callee, depth + 1, budget)
-                    if stream and stream[-1].kind == KIND_RETURN \
-                            and stream[-1].target == 0:
-                        stream[-1].target = term_pc + INSTR_BYTES
-                    if len(stream) >= budget:
+                    if kinds[-1] == KIND_RETURN and targets[-1] == 0:
+                        targets[-1] = term_pc + INSTR_BYTES
+                    if len(kinds) >= budget:
                         return
                 bidx = block.fall_through
                 continue
@@ -420,14 +477,16 @@ class EventTrace:
     """
 
     def __init__(self, profile: "AppProfile", scale: float = 1.0,
-                 seed: int = 0) -> None:
+                 seed: int = 0, image: CodeImage | None = None) -> None:
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.profile = profile
         self.scale = scale
         self.seed = seed
-        self.image = build_code_image(profile.code,
-                                      seed=profile.seed ^ seed)
+        #: the code image is a pure function of (profile, seed): ``image``
+        #: passes one already built for them instead of rebuilding it
+        self.image = image if image is not None else \
+            build_code_image(profile.code, seed=profile.seed ^ seed)
         rng = random.Random(("trace", profile.name, seed).__repr__())
         self.n_events = max(3, round(profile.n_events * scale))
         # handler popularity: Zipf-like skew
@@ -472,10 +531,12 @@ class EventTrace:
 
         self._cache: OrderedDict[int, Event] = OrderedDict()
         self._cache_capacity = 8
-        self._looper_stream: list[Instruction] | None = None
+        #: the image's lowered block bodies, per function id
+        self._bodies: dict[int, list[_Body]] = {}
+        self._looper_body: PackedStream | None = None
         #: per-handler packed looper streams (body + dispatch); handlers
         #: repeat constantly, so these are built once each
-        self._packed_loopers: dict[int, object] = {}
+        self._packed_loopers: dict[int, PackedStream] = {}
 
     def __len__(self) -> int:
         return self.n_events
@@ -518,29 +579,30 @@ class EventTrace:
         handler = self._handler_of[index]
         seed = self._event_seed[index]
         target = self._target_len[index]
+        writes = self._writes[index]
         true_state = self._state_before[index]
         stale_state = self.stale_state_for(index)
 
-        walker = _Walker(self.image, self.profile, index, handler,
-                         random.Random(seed), true_state)
-        walker.writes = self._writes[index]
-        true_stream = walker.run(target)
+        walker = _Walker(self.image, self._bodies, self.profile, index,
+                         handler, random.Random(seed), true_state)
+        walker.writes = writes
+        packed_true = walker.run(target)
         reads = frozenset(walker.state_reads)
 
         differing = {v for v in reads
                      if true_state.get(v, 0) != stale_state.get(v, 0)}
+        packed_spec = packed_true
         if differing:
-            spec_walker = _Walker(self.image, self.profile, index, handler,
-                                  random.Random(seed), stale_state)
-            spec_walker.writes = self._writes[index]
-            spec_stream = spec_walker.run(target)
-            if spec_stream == true_stream:
+            spec_walker = _Walker(self.image, self._bodies, self.profile,
+                                  index, handler, random.Random(seed),
+                                  stale_state)
+            spec_walker.writes = writes
+            packed_spec = spec_walker.run(target)
+            if packed_spec == packed_true:
                 # the stale values flipped no branch this event executed
-                spec_stream = true_stream
-        else:
-            spec_stream = true_stream
-        return Event(index, handler, self._writes[index], true_stream,
-                     spec_stream, reads)
+                packed_spec = packed_true
+        return Event.from_packed(index, handler, packed_true, packed_spec,
+                                 writes=writes, state_reads=reads)
 
     # -- the looper thread -----------------------------------------------------
 
@@ -548,42 +610,45 @@ class EventTrace:
         """Queue-management instructions the looper thread executes before
         dispatching event ``index`` (about 70 instructions, Section 3.6),
         ending with the indirect dispatch into the handler."""
-        if self._looper_stream is None:
-            self._looper_stream = self._build_looper_body()
-        handler_entry = self.image.function(
-            self._handler_of[index]).entry.addr
-        stream = list(self._looper_stream)
-        dispatch_pc = stream[-1].pc + INSTR_BYTES
-        stream.append(Instruction(dispatch_pc, KIND_IBRANCH, taken=True,
-                                  target=handler_entry))
-        return stream
+        return self.packed_looper_stream(index).to_instructions()
 
-    def packed_looper_stream(self, index: int) -> "PackedStream":
+    def packed_looper_stream(self, index: int) -> PackedStream:
         """:meth:`looper_stream` in packed form, cached per handler."""
-        handler = self._handler_of[index]
-        packed = self._packed_loopers.get(handler)
-        if packed is None:
-            from repro.isa.stream import PackedStream
+        return self.packed_looper_for(self._handler_of[index])
 
-            packed = PackedStream.from_instructions(
-                self.looper_stream(index))
-            self._packed_loopers[handler] = packed
+    def packed_looper_for(self, handler_fid: int) -> PackedStream:
+        """The packed looper stream that dispatches into ``handler_fid``:
+        the shared queue-management body plus the indirect dispatch."""
+        packed = self._packed_loopers.get(handler_fid)
+        if packed is None:
+            body = self._looper_body
+            if body is None:
+                body = self._looper_body = self._build_looper_body()
+            dispatch_pc = body.pc[-1] + INSTR_BYTES
+            entry = self.image.function(handler_fid).entry.addr
+            packed = self._packed_loopers[handler_fid] = body.concat(
+                PackedStream((dispatch_pc,), (KIND_IBRANCH,), (0,), (True,),
+                             (entry,)))
         return packed
 
-    def _build_looper_body(self) -> list[Instruction]:
+    def _build_looper_body(self) -> PackedStream:
         looper = self.image.function(self.image.looper_fid)
-        stream: list[Instruction] = []
         rng = random.Random(("looper", self.profile.name).__repr__())
-        pc = looper.base_addr
-        for i in range(self.profile.looper_len - 1):
+        kinds: list[int] = []
+        addrs: list[int] = []
+        for _ in range(self.profile.looper_len - 1):
             draw = rng.random()
             if draw < 0.3:
-                stream.append(Instruction(
-                    pc, KIND_LOAD, addr=QUEUE_BASE + rng.randrange(8) * 64))
+                kinds.append(KIND_LOAD)
+                addrs.append(QUEUE_BASE + rng.randrange(8) * 64)
             elif draw < 0.45:
-                stream.append(Instruction(
-                    pc, KIND_STORE, addr=QUEUE_BASE + rng.randrange(8) * 64))
+                kinds.append(KIND_STORE)
+                addrs.append(QUEUE_BASE + rng.randrange(8) * 64)
             else:
-                stream.append(Instruction(pc, KIND_ALU))
-            pc += INSTR_BYTES
-        return stream
+                kinds.append(KIND_ALU)
+                addrs.append(0)
+        n = len(kinds)
+        return PackedStream(
+            range(looper.base_addr, looper.base_addr + n * INSTR_BYTES,
+                  INSTR_BYTES),
+            kinds, addrs, (False,) * n, (0,) * n)

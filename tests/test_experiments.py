@@ -351,6 +351,45 @@ class TestTraceCache:
         runner.run("pixlr", presets.baseline())
         assert sorted(built) == list(range(len(runner.trace("pixlr"))))
 
+    def test_cold_run_builds_no_instruction_objects(self, tmp_path,
+                                                    monkeypatch):
+        from repro.isa.instructions import Instruction
+
+        built = []
+        init = Instruction.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Instruction, "__init__", counting)
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+        result = runner.run("pixlr", presets.baseline())
+        assert result.instructions > 0
+        # generated, recorded, decoded and simulated in packed form only
+        assert built == []
+
+    def test_recording_run_builds_the_code_image_once(self, tmp_path,
+                                                      monkeypatch):
+        from repro.workloads import generator
+
+        built = []
+        build = generator.build_code_image
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "build_code_image", counting)
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+        trace = runner.trace("pixlr")
+        # the reloaded recording shares the generator's image
+        assert len(built) == 1
+        fresh = generator.EventTrace(trace.profile, scale=0.25, seed=0)
+        for k in range(len(trace)):
+            assert (trace.packed_looper_stream(k)
+                    == fresh.packed_looper_stream(k))
+
     def test_unwritable_cache_simulates_the_generated_trace(self, tmp_path,
                                                             monkeypatch):
         from repro.workloads.generator import EventTrace

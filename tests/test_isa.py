@@ -15,6 +15,7 @@ from repro.isa import (
     KIND_RETURN,
     KIND_STORE,
     Instruction,
+    PackedStream,
     block_of,
     is_branch_kind,
     is_memory_kind,
@@ -94,7 +95,7 @@ class TestInstruction:
 
 
 def _sample_stream():
-    return [
+    return PackedStream.from_instructions([
         Instruction(0, KIND_ALU),
         Instruction(4, KIND_LOAD, addr=256),
         Instruction(8, KIND_STORE, addr=256 + 64),
@@ -102,7 +103,7 @@ def _sample_stream():
         Instruction(64, KIND_BRANCH, taken=False),
         Instruction(68, KIND_CALL, taken=True, target=1024),
         Instruction(1024, KIND_RETURN, taken=True, target=72),
-    ]
+    ])
 
 
 class TestSummarizeStream:
@@ -125,7 +126,7 @@ class TestSummarizeStream:
         assert stats.d_footprint_bytes == 2 * 64
 
     def test_empty_stream(self):
-        stats = summarize_stream([])
+        stats = summarize_stream(PackedStream.from_instructions([]))
         assert stats.instructions == 0
         assert stats.i_footprint_bytes == 0
 

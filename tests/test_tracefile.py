@@ -115,6 +115,19 @@ class TestTraceRoundtrip:
         loaded = load_trace(path, profile=tiny_app)
         assert loaded.looper_stream(2) == trace.looper_stream(2)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_event_index_out_of_range_raises(self, tiny_app, tmp_path,
+                                             offset):
+        trace = EventTrace(tiny_app)
+        path = tmp_path / "trace.espt"
+        dump_trace(trace, path)
+        loaded = load_trace(path, profile=tiny_app)
+        index = len(loaded) + offset if offset >= 0 else offset
+        with pytest.raises(IndexError):
+            trace.event(index)
+        with pytest.raises(IndexError):
+            loaded.event(index)
+
     def test_loaded_trace_simulates(self, tiny_app, tmp_path):
         from repro.sim import presets
         from repro.sim.simulator import Simulator

@@ -92,7 +92,7 @@ class TestStreamShape:
             assert low <= inst.pc < high
 
     def test_stream_has_mixed_kinds(self, tiny_trace):
-        stats = summarize_stream(tiny_trace.event(0).true_stream)
+        stats = summarize_stream(tiny_trace.event(0).packed_true())
         assert stats.loads > 0
         assert stats.stores > 0
         assert stats.branches > 0
