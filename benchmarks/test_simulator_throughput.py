@@ -7,15 +7,9 @@ exist (``repro.sim.simulator``): the object path over
 benchmarks time both; ``test_record_throughput_snapshot`` writes the
 measured speedups to ``output/BENCH_throughput.json`` for the record
 (schema v8: wall seconds, Minstr/s and the selected kernel per path,
-plus one grid row per execution backend — serial / process / remote /
-auto with its resolved pick — so the recorded numbers say how
-each fan-out strategy actually performed on the recording machine; the
-remote rows run self-hosted localhost workers, so they price the socket
-protocol and subprocess spin-up, not real network latency. v5 adds the
-``remote_fetch`` row: the same grid with ``REPRO_STORE=fetch``
-shared-nothing workers on private caches, so the fetch-path overhead —
-chunked artifact transfer + digest re-verification versus a shared
-filesystem — is a recorded number, not a guess. v6 adds the
+plus one grid row per execution backend — serial / process / auto with
+its resolved pick — so the recorded numbers say how each fan-out
+strategy actually performed on the recording machine. v6 adds the
 ``sampled_fidelity`` row: model-warm ``--fidelity sampled`` throughput
 at scale 2 against a cold full-detail run, with the achieved
 headline-metric error and the reported error bounds. v7 drops the
@@ -25,7 +19,8 @@ covers; v9 adds the ``trace_codec`` row: the cold cost of recording a
 pixlr scale-4 trace to ``.espt`` and of decoding it back to packed
 streams, with the file's bytes per instruction, the CPU count and the
 commit; v10 adds the row's cold ``build_s_per_event``, the generator's
-build of each event straight into packed form).
+build of each event straight into packed form; v11 drops the retired
+remote backend's ``remote`` and ``remote_fetch`` grid rows).
 
 Timing discipline: every path is measured best-of-N over *fresh*
 simulators sharing one pre-packed trace.
@@ -49,8 +44,9 @@ from repro.workloads import EventTrace, get_app
 
 _OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: snapshot layout: 10 adds the ``trace_codec`` row's cold
-#: ``build_s_per_event``; 9 adds the cold ``trace_codec`` row; 8 drops the
+#: snapshot layout: 11 drops the ``remote`` and ``remote_fetch`` grid
+#: rows of the retired remote backend; 10 adds the ``trace_codec`` row's
+#: cold ``build_s_per_event``; 9 adds the cold ``trace_codec`` row; 8 drops the
 #: thread backend row and the ``jobs_auto``
 #: grid fields; 7 dropped the vector kernel's per-path fields (6 added
 #: the ``sampled_fidelity`` row — model-warm ``--fidelity sampled``
@@ -59,7 +55,7 @@ _OUTPUT_DIR = Path(__file__).parent / "output"
 #: shared-nothing ``remote_fetch`` grid row; 4 the remote-backend grid
 #: row; 3 the per-execution-backend grid rows; 2 per-path Minstr/s,
 #: per-row kernel names and the auto-jobs grid row)
-SNAPSHOT_SCHEMA_VERSION = 10
+SNAPSHOT_SCHEMA_VERSION = 11
 
 
 def _prewarmed_trace(scale: float = 1.0) -> EventTrace:
@@ -266,7 +262,7 @@ def test_record_throughput_snapshot(tmp_path_factory):
     # one row per execution backend, same 2x2 grid: the honest per-
     # strategy cost on this machine, with what `auto` resolved to
     backends = {}
-    for name in ("serial", "process", "remote", "auto"):
+    for name in ("serial", "process", "auto"):
         cache = tmp_path_factory.mktemp(f"snapshot-backend-{name}")
         runner = ExperimentRunner(cache_dir=cache, scale=0.25, seed=0,
                                   jobs=2, backend=name)
@@ -281,23 +277,6 @@ def test_record_throughput_snapshot(tmp_path_factory):
             row["auto_reason"] = runner.backend_choice.reason
         backends[name] = row
 
-    # the shared-nothing row: same grid, REPRO_STORE=fetch — self-hosted
-    # workers on private empty caches resolve every trace through the
-    # coordinator's artifact plane, so (remote_fetch - remote) wall time
-    # is the recorded price of chunked transfer + digest re-verification
-    # relative to a shared filesystem
-    cache = tmp_path_factory.mktemp("snapshot-backend-remote-fetch")
-    runner = ExperimentRunner(cache_dir=cache, scale=0.25, seed=0,
-                              jobs=2, backend="remote")
-    runner._resolve_backend().store_mode = "fetch"
-    start = time.perf_counter()
-    runner.grid(grid_configs, apps=grid_apps)
-    backends["remote_fetch"] = {
-        "wall_s": round(time.perf_counter() - start, 4),
-        "jobs": runner.jobs,
-        "resolved": runner.backend_name,
-        "store": "fetch",
-    }
     snapshot["grid_2x2_scale0.25"]["backends"] = backends
 
     # v6: the sampled-fidelity row. One detailed sampled run learns the
@@ -358,7 +337,7 @@ def test_record_throughput_snapshot(tmp_path_factory):
         assert entry["speedup"] > 0
     for name, row in backends.items():
         assert row["wall_s"] > 0
-        assert row["resolved"] in ("serial", "process", "remote"), row
+        assert row["resolved"] in ("serial", "process"), row
     row = snapshot["trace_codec"]
     assert row["bytes_per_instr"] < 6, row
     row = snapshot["sampled_fidelity"]

@@ -13,11 +13,6 @@ Commands:
 * ``calibrate`` — print the workload-calibration report per app.
 * ``apps`` — list the benchmark application profiles (Figure 6).
 * ``presets`` — list the named machine configurations.
-* ``worker`` — connect to a ``REPRO_BACKEND=remote`` coordinator
-  (``--coord`` / ``REPRO_COORD``) and run leased simulation tasks until
-  the batch shuts it down; ``--no-shared-fs`` serves everything from a
-  private cache through the digest-verified artifact plane (no common
-  mount needed).
 * ``inspect`` — per-event anatomy of one app's trace.
 * ``stats`` — aggregate the harness's JSONL run logs (cache hit rates,
   per-app wall-clock and throughput, the execution backend that served
@@ -63,21 +58,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_coord(args: argparse.Namespace) -> None:
-    """Propagate ``--coord`` to ``REPRO_COORD`` so the remote backend —
-    wherever the runner is constructed downstream — sees it."""
-    import os
-
-    if getattr(args, "coord", None):
-        os.environ["REPRO_COORD"] = args.coord
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.sim import presets
     from repro.sim.experiments import ExperimentRunner, GridTaskError
     from repro.workloads import APP_NAMES
 
-    _apply_coord(args)
     runner = ExperimentRunner(scale=args.scale, seed=args.seed,
                               jobs=args.jobs, backend=args.backend,
                               fidelity=args.fidelity)
@@ -129,7 +114,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.sim.figures import main as figures_main
 
-    _apply_coord(args)
     names = list(args.names)
     if args.json:
         names.insert(0, "--json")
@@ -205,29 +189,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.exec.remote import worker_main
-
-    coord = args.coord or os.environ.get("REPRO_COORD", "").strip()
-    if not coord:
-        print("no coordinator address: pass --coord HOST:PORT or set "
-              "REPRO_COORD", file=sys.stderr)
-        return 2
-    try:
-        done = worker_main(
-            coord, max_idle_s=args.max_idle,
-            exit_on_disconnect=args.exit_on_disconnect,
-            no_shared_fs=args.no_shared_fs,
-            cache_dir=args.cache_dir)
-    except KeyboardInterrupt:
-        print("\nworker interrupted", file=sys.stderr)
-        return 130
-    print(f"worker done: {done} task(s) completed", file=sys.stderr)
-    return 0
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.isa import summarize_stream
     from repro.workloads import EventTrace, get_app
@@ -284,13 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: REPRO_JOBS or 1)")
     p.add_argument("--backend", default=None,
-                   choices=["serial", "process", "remote", "auto"],
+                   choices=["serial", "process", "auto"],
                    help="execution backend (default: REPRO_BACKEND, or "
                         "derived from --jobs: process when jobs > 1)")
-    p.add_argument("--coord", default=None,
-                   help="remote coordinator address HOST:PORT for "
-                        "--backend remote (default: REPRO_COORD; unset "
-                        "= self-host local workers)")
     p.add_argument("--fidelity", default=None,
                    choices=["full", "sampled"],
                    help="simulation fidelity (default: REPRO_FIDELITY "
@@ -312,12 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the simulation grid "
                         "(default: REPRO_JOBS or 1)")
     p.add_argument("--backend", default=None,
-                   choices=["serial", "process", "remote", "auto"],
+                   choices=["serial", "process", "auto"],
                    help="execution backend for the simulation grid "
                         "(default: REPRO_BACKEND or derived from --jobs)")
-    p.add_argument("--coord", default=None,
-                   help="remote coordinator address HOST:PORT for "
-                        "--backend remote (default: REPRO_COORD)")
     p.add_argument("--fidelity", default=None,
                    choices=["full", "sampled"],
                    help="simulation fidelity for the grid "
@@ -348,29 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable summary JSON")
     p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser(
-        "worker",
-        help="serve leased tasks for a remote-backend coordinator")
-    p.add_argument("--coord", default=None,
-                   help="coordinator address HOST:PORT "
-                        "(default: REPRO_COORD)")
-    p.add_argument("--max-idle", type=float, default=None,
-                   help="exit after this many seconds without a task "
-                        "(default: serve forever)")
-    p.add_argument("--exit-on-disconnect", action="store_true",
-                   help="exit when the coordinator goes away instead of "
-                        "reconnecting with backoff")
-    p.add_argument("--no-shared-fs", action="store_true",
-                   help="never open coordinator paths: keep a private "
-                        "cache and resolve misses through the artifact "
-                        "plane (fetch traces by digest, push checkpoints "
-                        "back)")
-    p.add_argument("--cache-dir", default=None,
-                   help="private cache directory for --no-shared-fs "
-                        "(default: this machine's REPRO_CACHE_DIR or "
-                        "the platform cache dir)")
-    p.set_defaults(func=_cmd_worker)
 
     p = sub.add_parser("inspect", help="per-event anatomy of a trace")
     p.add_argument("app")

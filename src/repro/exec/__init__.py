@@ -3,26 +3,23 @@
 ``ExperimentRunner.run_many`` delegates batch execution to an
 :class:`~repro.exec.base.ExecutionBackend`, selected by the
 ``REPRO_BACKEND`` environment variable (or the ``backend`` constructor
-argument / ``--backend`` CLI flag): ``serial``, ``process``, ``remote``
-(a TCP coordinator feeding ``repro worker`` processes under
-time-bounded leases — :mod:`repro.exec.remote`), or ``auto`` — the one
-local fan-out rule (:mod:`repro.exec.auto`): ``serial`` on one usable
-CPU, ``process`` otherwise. See :mod:`repro.exec.base` for the interface
-contract and the per-backend rationale.
+argument / ``--backend`` CLI flag): ``serial``, ``process``, or
+``auto`` — the one local fan-out rule (:mod:`repro.exec.auto`):
+``serial`` on one usable CPU, ``process`` otherwise. See
+:mod:`repro.exec.base` for the interface contract and the per-backend
+rationale.
 """
 
 from repro.exec.auto import BackendChoice, auto_pick
 from repro.exec.base import (BACKEND_NAMES, ExecutionBackend, SerialBackend,
                              jittered_backoff)
 from repro.exec.process import ProcessBackend
-from repro.exec.remote import RemoteBackend
 
 __all__ = [
     "BACKEND_NAMES",
     "BackendChoice",
     "ExecutionBackend",
     "ProcessBackend",
-    "RemoteBackend",
     "SerialBackend",
     "auto_pick",
     "jittered_backoff",
@@ -32,7 +29,6 @@ __all__ = [
 _BACKENDS = {
     "serial": SerialBackend,
     "process": ProcessBackend,
-    "remote": RemoteBackend,
 }
 
 

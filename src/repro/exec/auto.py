@@ -1,6 +1,6 @@
 """The ``REPRO_BACKEND=auto`` rule.
 
-``auto`` is not a fourth execution strategy but one rule for local
+``auto`` is not a third execution strategy but one rule for local
 fan-out: ``serial`` on a machine with one usable CPU (fan-out of any
 kind only adds overhead there) and ``process`` otherwise. The CPU count
 is the affinity-aware :func:`repro.sim.experiments.available_cpus`; no

@@ -57,7 +57,7 @@ class ProcessBackend(ExecutionBackend):
             for key, app, _ in todo:
                 runner._note_requeued(key, app)
             return list(todo)
-        remote = runner._remote_entry()
+        run_task = runner._worker_entry()
         wait_on_exit = True
         pool_broken = False
         try:
@@ -70,7 +70,7 @@ class ProcessBackend(ExecutionBackend):
             for index, (key, app, config) in enumerate(todo):
                 try:
                     future = pool.submit(
-                        remote, app, config, runner.scale, runner.seed,
+                        run_task, app, config, runner.scale, runner.seed,
                         str(runner.cache_dir), runner.use_disk_cache,
                         worker_log_dir,
                         checkpoint_events=runner.checkpoint_events,

@@ -13,7 +13,7 @@ Record kinds (``kind`` field):
 * ``run`` — one simulation request: cache key, app, config name + digest,
   scale, seed, worker pid, cache disposition (``memory`` / ``disk`` /
   ``simulated``), the execution backend context that served it
-  (``serial`` parent / ``process`` worker / ``remote`` worker), the
+  (``serial`` parent / ``process`` worker), the
   hot-loop kernel used (``object`` / ``packed``; ``simulated`` runs
   only), and the trace-load / simulate / store timings in seconds.
 * ``retry`` — one task handed back for serial completion, with the reason
@@ -37,23 +37,11 @@ Record kinds (``kind`` field):
   skipped (quarantined) on the way (``fallbacks``).
 * ``stalled`` — the heartbeat watchdog killed a stalled worker: task key,
   app, the worker pid and its heartbeat age in seconds.
-* ``worker-join`` / ``worker-leave`` — a remote worker connected to /
-  disconnected from a ``REPRO_BACKEND=remote`` coordinator: the
-  coordinator-assigned worker id, the worker's pid/host/peer address on
-  join, the reason (``disconnect`` / ``closing``) on leave.
-* ``steal`` — the remote coordinator revoked an expired or orphaned
-  lease and requeued its task: key, app, the worker that held it, the
-  lease age in seconds, and why (``lease-expired`` / ``worker-left``).
-* ``remote-degraded`` — the remote backend lost (or never had) its
-  worker fleet and fell back to the auto-picked local backend: the
-  reason and how many tasks remained.
-* ``fetch`` — the coordinator served one artifact over the
-  shared-nothing artifact plane (``REPRO_STORE=fetch``): the digest,
-  artifact kind, byte count and chunk count of the transfer.
-* ``quarantine-propagated`` — a digest failed verification somewhere in
-  the fleet and was poisoned fleet-wide (it will never be re-served):
-  the digest, artifact kind, reason, and which side reported it
-  (``coordinator`` or ``worker-N``).
+
+Logs written while the remote backend existed may also hold its record
+kinds (``worker-join``, ``worker-leave``, ``steal``, ``remote-degraded``,
+``fetch``, ``quarantine-propagated``) and ``run`` records stamped
+``remote``; readers skip the former and count the latter.
 """
 
 from __future__ import annotations

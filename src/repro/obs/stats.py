@@ -7,18 +7,19 @@ that served the simulated runs (the per-app ``backend`` column plus the
 ``backends —`` summary line, with ``auto``'s resolved picks), detected
 cache corruptions (per artifact kind), permanently failed tasks, the
 mid-simulation resilience activity — checkpoints written, resumes (with
-generation fallbacks) and stalled-worker kills — and the remote-backend
-activity (workers joined/left, leases stolen, degradations to a local
-backend; the ``remote —`` summary line) and the artifact-plane activity
-of shared-nothing fleets (``fetch`` records for served transfers,
-``quarantine-propagated`` records for digests poisoned fleet-wide; the
-``store —`` summary line) and the sampled-fidelity activity (runs served
-at ``fidelity=sampled``, their detailed/extrapolated event split and the
-worst reported error bound; the ``sampling —`` summary line) — as a
-human-readable
-table plus a machine-readable summary dict (``--json``). Every quarantine event the harness performs is
-a ``corrupt`` record, so this report is the audit trail of how much
-on-disk state had to be regenerated.
+generation fallbacks) and stalled-worker kills — and the sampled-fidelity
+activity (runs served at ``fidelity=sampled``, their detailed/extrapolated
+event split and the worst reported error bound; the ``sampling —`` summary
+line) — as a human-readable table plus a machine-readable summary dict
+(``--json``). Every quarantine event the harness performs is a
+``corrupt`` record, so this report is the audit trail of how much on-disk
+state had to be regenerated.
+
+Logs written before the remote backend was retired still aggregate: its
+record kinds (``worker-join``, ``worker-leave``, ``steal``,
+``remote-degraded``, ``fetch``, ``quarantine-propagated``) are skipped
+like any other unknown kind, and its ``run`` records, stamped
+``"backend": "remote"``, count like any other run.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ def summarize(records) -> dict:
          "backend_choices": {backend: int},
          "checkpoints": int, "resumes": int, "resume_fallbacks": int,
          "stalled_kills": int,
-         "remote_workers_joined": int, "remote_workers_left": int,
-         "remote_steals": int, "remote_degraded": int,
-         "store_fetches": int, "store_fetch_bytes": int,
-         "store_quarantines": int,
          "sampled_runs": int, "sampled_events": int,
          "detailed_events": int, "max_error_bound": float,
          "simulate_s": float, "apps": {app: {...per-app...}}}
@@ -68,8 +65,6 @@ def summarize(records) -> dict:
     runs = simulated = cache_hits = retries = requeued = 0
     corruptions = task_failures = 0
     checkpoints = resumes = resume_fallbacks = stalled_kills = 0
-    workers_joined = workers_left = steals = remote_degraded = 0
-    store_fetches = store_fetch_bytes = store_quarantines = 0
     sampled_runs = 0
     max_error_bound = 0.0
     corrupt_by_artifact: dict[str, int] = {}
@@ -146,24 +141,6 @@ def summarize(records) -> dict:
                 resume_fallbacks += fallbacks
         elif kind == "stalled":
             stalled_kills += 1
-        elif kind == "worker-join":
-            workers_joined += 1
-        elif kind == "worker-leave":
-            workers_left += 1
-        elif kind == "steal":
-            steals += 1
-            if app and app != "?":
-                bucket = apps.setdefault(app, _fresh_app_bucket())
-                bucket["steals"] = bucket.get("steals", 0) + 1
-        elif kind == "remote-degraded":
-            remote_degraded += 1
-        elif kind == "fetch":
-            store_fetches += 1
-            size = record.get("bytes")
-            if isinstance(size, int):
-                store_fetch_bytes += size
-        elif kind == "quarantine-propagated":
-            store_quarantines += 1
     for bucket in apps.values():
         sim_s = bucket["simulate_s"]
         n_sim = bucket["simulated"]
@@ -196,13 +173,6 @@ def summarize(records) -> dict:
         "resumes": resumes,
         "resume_fallbacks": resume_fallbacks,
         "stalled_kills": stalled_kills,
-        "remote_workers_joined": workers_joined,
-        "remote_workers_left": workers_left,
-        "remote_steals": steals,
-        "remote_degraded": remote_degraded,
-        "store_fetches": store_fetches,
-        "store_fetch_bytes": store_fetch_bytes,
-        "store_quarantines": store_quarantines,
         "kernels": {k: kernels_total[k] for k in sorted(kernels_total)},
         "sampled_runs": sampled_runs,
         "sampled_events": sum(b["sampled_events"] for b in apps.values()),
@@ -230,8 +200,7 @@ def format_table(summary: dict) -> str:
     if not summary["runs"] and not summary["retries"] \
             and not summary.get("corruptions") \
             and not summary.get("checkpoints") \
-            and not summary.get("stalled_kills") \
-            and not summary.get("remote_workers_joined"):
+            and not summary.get("stalled_kills"):
         return "no run records found"
     lines = [
         f"{'app':<12} {'runs':>6} {'sim':>6} {'hits':>6} {'hit%':>6} "
@@ -291,20 +260,4 @@ def format_table(summary: dict) -> str:
             f"extrapolated: {summary.get('sampled_events', 0)}, "
             f"max error bound: "
             f"{100 * summary.get('max_error_bound', 0.0):.2f}%")
-    if summary.get("remote_workers_joined") \
-            or summary.get("remote_steals") \
-            or summary.get("remote_degraded"):
-        lines.append(
-            f"remote — workers joined: "
-            f"{summary.get('remote_workers_joined', 0)}, left: "
-            f"{summary.get('remote_workers_left', 0)}, leases stolen: "
-            f"{summary.get('remote_steals', 0)}, degraded to local: "
-            f"{summary.get('remote_degraded', 0)}")
-    if summary.get("store_fetches") or summary.get("store_quarantines"):
-        lines.append(
-            f"store — artifacts served: "
-            f"{summary.get('store_fetches', 0)} "
-            f"({summary.get('store_fetch_bytes', 0):,} bytes), "
-            f"quarantines propagated: "
-            f"{summary.get('store_quarantines', 0)}")
     return "\n".join(lines)

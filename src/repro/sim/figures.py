@@ -394,7 +394,7 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover
 
     ``--jobs N`` (or ``REPRO_JOBS``) fans the underlying simulations over
     N workers; ``--backend`` (or ``REPRO_BACKEND``) picks the execution
-    backend that does the fanning (serial / thread / process / auto);
+    backend that does the fanning (serial / process / auto);
     ``--fidelity sampled`` (or ``REPRO_FIDELITY``) runs the grid at
     sampled fidelity (results cached under separate keys).
     """
@@ -420,7 +420,7 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover
             backend = args[at + 1]
         except IndexError:
             raise SystemExit("--backend requires an argument "
-                             "(serial / thread / process / auto)")
+                             "(serial / process / auto)")
         del args[at:at + 2]
     fidelity = None
     if "--fidelity" in args:

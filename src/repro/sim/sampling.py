@@ -35,7 +35,7 @@ derived ratios (IPC, miss rates) combine their components in quadrature.
 Replayed events contribute nothing to the bounds: their deltas are
 recordings, not estimates (a replayed event's surrounding cache state
 can differ when it is interleaved with extrapolated neighbours — a
-second-order effect the bounds deliberately ignore, see DESIGN §14).
+second-order effect the bounds deliberately ignore, see DESIGN §13).
 
 Learned class models persist across :class:`~repro.sim.simulator
 .Simulator` instances in a process-wide store: the first run of a

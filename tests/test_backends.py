@@ -3,7 +3,7 @@
 The pluggable backend layer (:mod:`repro.exec`) owns how ``run_many``
 batches fan out. The contract pinned here:
 
-* every backend — serial, process, remote, and whatever ``auto``
+* every backend — serial, process, and whatever ``auto``
   resolves to — produces bit-identical :class:`SimResult` objects and
   writes identically-keyed cache files, on either hot-loop kernel;
 * per-task deadlines are measured from task *start*: a task queued
@@ -14,10 +14,12 @@ batches fan out. The contract pinned here:
   sibling tasks counted as ``requeued``;
 * ``auto`` is one rule — ``serial`` on one usable CPU, ``process``
   otherwise — that runs no probe, and records its choice;
+* the retry ladder's full-jitter backoff is a bounded pure function of
+  its token and attempt;
 * ``REPRO_BACKEND`` / the ``backend`` constructor argument / backend
   derivation from the worker count behave like every other harness knob
   (constructor > env > derived, malformed env — including a stale
-  ``thread`` — warns once and falls back).
+  ``thread`` or ``remote`` — warns once and falls back).
 """
 
 import functools
@@ -28,14 +30,14 @@ import pytest
 
 import repro.sim.experiments as experiments_mod
 from repro.cli import build_parser
-from repro.exec import (BACKEND_NAMES, ProcessBackend, RemoteBackend,
-                        SerialBackend, auto_pick, make_backend)
+from repro.exec import (BACKEND_NAMES, ProcessBackend, SerialBackend,
+                        auto_pick, jittered_backoff, make_backend)
 from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
 from repro.obs.stats import format_table, summarize
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner, GridTaskError
-from repro.sim.experiments import _run_remote as _real_run_remote
+from repro.sim.experiments import _run_task as _real_run_task
 from repro.sim.simulator import Simulator
 
 APPS = ("bing", "pixlr")
@@ -45,28 +47,28 @@ CONFIGS = ("baseline", "nl")
 NAP_S = 1.0
 
 
-def _napping_remote(app, config, scale, seed, cache_dir, use_disk_cache,
-                    log_dir=None, attempt=1, **kwargs):
+def _napping_task(app, config, scale, seed, cache_dir, use_disk_cache,
+                  log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that holds its worker for :data:`NAP_S` before
     simulating, so tasks queued behind it accumulate real queue wait
     (module-level so it pickles under fork and spawn alike)."""
     time.sleep(NAP_S)
-    return _real_run_remote(app, config, scale, seed, cache_dir,
-                            use_disk_cache, log_dir, attempt, **kwargs)
+    return _real_run_task(app, config, scale, seed, cache_dir,
+                          use_disk_cache, log_dir, attempt, **kwargs)
 
 
-def _wedged_remote(app, config, scale, seed, cache_dir, use_disk_cache,
-                   log_dir=None, attempt=1, **kwargs):
+def _wedged_task(app, config, scale, seed, cache_dir, use_disk_cache,
+                 log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that wedges forever on bing (well past any test
     deadline) and behaves for every other app."""
     if app == "bing":
         time.sleep(8.0)
-    return _real_run_remote(app, config, scale, seed, cache_dir,
-                            use_disk_cache, log_dir, attempt, **kwargs)
+    return _real_run_task(app, config, scale, seed, cache_dir,
+                          use_disk_cache, log_dir, attempt, **kwargs)
 
 
-def _dying_remote(app, config, scale, seed, cache_dir, use_disk_cache,
-                  log_dir=None, attempt=1, **kwargs):
+def _dying_task(app, config, scale, seed, cache_dir, use_disk_cache,
+                log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that kills its process before producing anything."""
     os._exit(3)
 
@@ -88,12 +90,11 @@ class TestBackendParity:
     def test_all_backends_bit_identical_with_identical_cache_keys(
             self, tmp_path):
         """The acceptance matrix: the same grid through the serial,
-        process, remote (self-hosted socket workers) and auto backends
-        yields bit-identical results AND identically-named
-        (= identically-keyed) cache files."""
+        process and auto backends yields bit-identical results AND
+        identically-named (= identically-keyed) cache files."""
         reference = None
         ref_files = None
-        for backend in ("serial", "process", "remote", "auto"):
+        for backend in ("serial", "process", "auto"):
             runner = ExperimentRunner(cache_dir=tmp_path / backend,
                                       scale=0.1, seed=0, jobs=2,
                                       backend=backend)
@@ -149,8 +150,8 @@ class TestDeadlineFromTaskStart:
         (3 naps + 3 simulations) blows well past. Measured from task
         start, nothing times out; measured from submission — the old
         accounting — the tail of the queue would be abandoned."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _napping_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_task",
+                            _napping_task)
         baseline = presets.baseline()
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
                                   jobs=1, backend="process",
@@ -175,8 +176,8 @@ class TestDeadlineFromTaskStart:
         it can never start. The straggler is the ONLY timeout — the
         sibling is handed back as ``requeued`` (the stall guard) and
         completes serially instead of being blamed for the wait."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _wedged_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_task",
+                            _wedged_task)
         log_dir = tmp_path / "logs"
         baseline = presets.baseline()
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
@@ -215,8 +216,8 @@ class TestPoolBreakAccounting:
         """Every worker dying floods every in-flight future with
         ``BrokenProcessPool``; exactly ONE death is counted and the
         surviving tasks are ``requeued``, then completed serially."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _dying_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_task",
+                            _dying_task)
         baseline = presets.baseline()
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
                                   jobs=2, backend="process")
@@ -293,9 +294,10 @@ class TestBackendConfiguration:
             use_disk_cache=False).backend_requested == "process"
 
     def test_malformed_env_warns_once_and_derives(self, monkeypatch):
-        """A typo, or the deleted ``thread`` name left in a stale
-        environment, warns once and derives the backend from ``jobs``."""
-        for stale in ("quantum", "thread"):
+        """A typo, or a deleted name (``thread``, ``remote``) left in a
+        stale environment, warns once and derives the backend from
+        ``jobs``."""
+        for stale in ("quantum", "thread", "remote"):
             monkeypatch.setattr(experiments_mod, "_warned_envs", set())
             monkeypatch.setenv("REPRO_BACKEND", stale)
             with pytest.warns(RuntimeWarning, match="REPRO_BACKEND") \
@@ -313,17 +315,22 @@ class TestBackendConfiguration:
         assert runner.backend_requested == "serial"
 
     def test_invalid_constructor_backend_raises(self, capsys):
-        """Unknown names — the deleted ``thread`` among them — are
-        refused by the constructor, naming the four valid ones, and by
-        the CLI's ``--backend`` choices."""
-        for name in ("quantum", "thread"):
+        """Unknown names — the deleted ``thread`` and ``remote`` among
+        them — are refused by the constructor, naming the three valid
+        ones, and by the CLI's ``--backend`` choices; the deleted
+        ``repro worker`` subcommand is an invalid choice too."""
+        for name in ("quantum", "thread", "remote"):
             with pytest.raises(ValueError,
                                match="unknown execution backend") as info:
                 ExperimentRunner(use_disk_cache=False, backend=name)
-            assert "serial, process, remote, auto" in str(info.value)
+            assert "serial, process, auto" in str(info.value)
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run", "--backend", name])
             assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker"])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "worker" in err
 
     def test_backend_derives_from_worker_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -341,10 +348,27 @@ class TestBackendConfiguration:
             make_backend("auto")  # auto is a picker, not a backend
 
     def test_backend_registry_shape(self):
-        assert BACKEND_NAMES == ("serial", "process", "remote", "auto")
+        assert BACKEND_NAMES == ("serial", "process", "auto")
         assert SerialBackend().parallel is False
         assert ProcessBackend().parallel is True
-        assert RemoteBackend().parallel is True
+
+
+class TestJitteredBackoff:
+    def test_deterministic_and_bounded(self):
+        for attempt in range(2, 8):
+            ceiling = min(0.25 * 2 ** (attempt - 2), 30.0)
+            delay = jittered_backoff(0.25, attempt, "task-token")
+            assert delay == jittered_backoff(0.25, attempt, "task-token")
+            assert 0.0 <= delay < ceiling
+        # different tokens draw differently (full jitter, not a ladder)
+        draws = {jittered_backoff(0.25, 4, f"t{i}") for i in range(16)}
+        assert len(draws) > 8
+
+    def test_zero_base_disables(self):
+        assert jittered_backoff(0.0, 5, "t") == 0.0
+
+    def test_cap_bounds_the_ceiling(self):
+        assert jittered_backoff(10.0, 30, "t", cap=2.0) < 2.0
 
 
 class TestBackendObservability:

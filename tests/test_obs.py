@@ -24,7 +24,7 @@ from repro.obs.runlog import RUNLOG_SCHEMA, RunLogWriter, iter_records
 from repro.obs.stats import format_table, summarize
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner
-from repro.sim.experiments import _run_remote as _real_run_remote
+from repro.sim.experiments import _run_task as _real_run_task
 
 
 @pytest.fixture
@@ -376,6 +376,46 @@ class TestStatsAggregation:
         assert "kernels — packed: 1, vector: 2" in table
         assert "memo" not in table
 
+    def test_logs_from_the_remote_era_still_aggregate(self):
+        """Run logs written while the remote backend existed hold its
+        fleet and artifact-plane record kinds, which are skipped, and
+        runs stamped ``remote``, which count like any other run and
+        show up in the backends histogram."""
+        old = [
+            {"kind": "worker-join", "worker": 1, "worker_pid": 11,
+             "host": "h", "peer": "127.0.0.1:5000"},
+            {"kind": "steal", "app": "bing", "key": "k", "worker": 1,
+             "age_s": 2.5, "reason": "lease-expired"},
+            {"kind": "fetch", "digest": "ab" * 32, "artifact": "trace",
+             "bytes": 4096, "chunks": 1},
+            {"kind": "quarantine-propagated", "digest": "cd" * 32,
+             "artifact": "trace", "reason": "digest", "source": "worker-1"},
+            {"kind": "remote-degraded", "reason": "no-workers",
+             "remaining": 2},
+            {"kind": "worker-leave", "worker": 1, "reason": "closing"},
+            _run_record("bing", "simulated", simulate_s=2.0,
+                        backend="remote", kernel="packed"),
+            _run_record("bing", "simulated", simulate_s=1.0,
+                        backend="remote", kernel="packed"),
+            _run_record("pixlr", "simulated", simulate_s=1.0,
+                        backend="process", kernel="packed"),
+            _run_record("pixlr", "disk", backend="serial"),
+        ]
+        summary = summarize(old)
+        assert summary["runs"] == 4
+        assert summary["simulated"] == 3
+        assert summary["simulate_s"] == pytest.approx(4.0)
+        assert summary["retries"] == 0
+        assert summary["backends"] == {"process": 1, "remote": 2}
+        assert summary["apps"]["bing"]["backends"] == {"remote": 2}
+        assert "steals" not in summary["apps"]["bing"]
+        assert not [k for k in summary
+                    if k.startswith(("remote_", "store_"))]
+        table = format_table(summary)
+        assert "backends — process: 1, remote: 2" in table
+        assert "remote —" not in table
+        assert "store —" not in table
+
 
 class TestWorkerRetryPath:
     def test_poisoned_worker_fails_once_then_batch_completes(
@@ -384,11 +424,11 @@ class TestWorkerRetryPath:
         still return every result, and the retry must be recorded."""
         poison = tmp_path / "poison"
         poison.touch()
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _poisoned_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_task",
+                            _poisoned_task)
         monkeypatch.setenv("REPRO_POISON_FILE", str(poison))
         log_dir = tmp_path / "logs"
-        # the poisoned remote is a process-pool stand-in: pin the backend
+        # the poisoned task is a process-pool stand-in: pin the backend
         # so an ambient REPRO_BACKEND can't reroute the batch around it
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", scale=0.25,
                                   seed=0, jobs=2, backend="process",
@@ -406,8 +446,8 @@ class TestWorkerRetryPath:
         assert set(reasons) <= {"worker-died", "requeued"}
 
 
-def _poisoned_remote(app, config, scale, seed, cache_dir, use_disk_cache,
-                     log_dir=None, **kwargs):
+def _poisoned_task(app, config, scale, seed, cache_dir, use_disk_cache,
+                   log_dir=None, **kwargs):
     """Worker entry point that dies abruptly on its first invocation (the
     poison file marks the pending failure), then behaves normally. Only
     the process that wins the unlink dies, so concurrent workers cannot
@@ -422,5 +462,5 @@ def _poisoned_remote(app, config, scale, seed, cache_dir, use_disk_cache,
             pass
         else:
             os._exit(17)
-    return _real_run_remote(app, config, scale, seed, cache_dir,
-                            use_disk_cache, log_dir, **kwargs)
+    return _real_run_task(app, config, scale, seed, cache_dir,
+                          use_disk_cache, log_dir, **kwargs)

@@ -101,6 +101,16 @@ class TestFaultPlan:
         assert plan.rates == {"corrupt_trace": 0.25, "kill_worker": 0.5}
         assert plan.seed == 9
         assert plan.active
+        # a stale spec naming a network kind of the retired remote
+        # backend parses silently; the kind is carried, never queried,
+        # and the corrupt_trace draws are those of the spec without it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stale = FaultPlan.from_spec("drop_conn:0.5,corrupt_trace:0.2")
+        assert stale.rates == {"drop_conn": 0.5, "corrupt_trace": 0.2}
+        plain = FaultPlan.from_spec("corrupt_trace:0.2")
+        assert [stale.fires("corrupt_trace", f"t{i}") for i in range(64)] \
+            == [plain.fires("corrupt_trace", f"t{i}") for i in range(64)]
 
     def test_empty_and_zero_rate_specs_inactive(self):
         assert not FaultPlan.from_spec(None).active
@@ -402,7 +412,7 @@ class TestRunnerResume:
             raise RuntimeError("injected simulation bug")
 
         # the poisoned _simulate only exists in this process: pin the
-        # backend so an ambient REPRO_BACKEND=remote can't hand the task
+        # backend so an ambient REPRO_BACKEND can't hand the task
         # to an unpatched worker
         monkeypatch.setattr(ExperimentRunner, "_simulate", poisoned)
         runner = _runner(tmp_path, max_attempts=2, retry_backoff=0.0,
